@@ -103,10 +103,11 @@
 //! `0` only if every selected experiment ran cleanly (and, with
 //! `--verify-golden`, matched the snapshot). Any failed experiment — or
 //! any failed campaign cell inside one — is summarized per cell on stderr
-//! and the process exits `1`. Usage errors exit `2`.
+//! and the process exits `1`. Usage errors — including a malformed
+//! `MICROLIB_*` override — exit `2`.
 
 use microlib::{LeaseManager, SimOptions};
-use microlib_bench::{experiments, std_threads, Context};
+use microlib_bench::{check_env, env_u64, experiments, std_threads, Context};
 use microlib_miner::{mine, perturb_from_env, reprobe_cell, CellOutcome, MineConfig};
 use microlib_trace::TraceWindow;
 use std::fs;
@@ -171,11 +172,12 @@ struct Cli {
     mine_cell: Option<String>,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A numeric `MICROLIB_*` override; a malformed value is a usage error.
+fn knob(name: &str, default: u64) -> u64 {
+    env_u64(name, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 /// Parses the command line (see the module docs for the grammar).
@@ -471,17 +473,11 @@ fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
         eprintln!("cannot create {}", worker_root.display());
         return 2;
     }
-    let timeout = Duration::from_millis(env_u64("MICROLIB_LEASE_TIMEOUT_MS", 30_000));
-    let backoff_ms = env_u64("MICROLIB_RETRY_BACKOFF_MS", 100);
-    let max_respawns = env_u64("MICROLIB_WORKER_RESPAWNS", 3) as u32;
-    let total_threads = std::env::var("MICROLIB_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        });
+    let timeout = Duration::from_millis(knob("MICROLIB_LEASE_TIMEOUT_MS", 30_000));
+    let backoff_ms = knob("MICROLIB_RETRY_BACKOFF_MS", 100);
+    let max_respawns = knob("MICROLIB_WORKER_RESPAWNS", 3) as u32;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let total_threads = knob("MICROLIB_THREADS", cores) as u32;
     let worker_threads = (total_threads / worker_count).max(1);
 
     println!(
@@ -789,20 +785,6 @@ fn default_out_dir(cli: &Cli) -> String {
     }
 }
 
-/// `MICROLIB_SEED`, accepting both decimal and the `0x`-prefixed hex the
-/// cliff repro lines print.
-fn env_seed() -> u64 {
-    let Ok(raw) = std::env::var("MICROLIB_SEED") else {
-        return 0xC0FFEE;
-    };
-    let raw = raw.trim();
-    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => raw.parse().ok(),
-    }
-    .unwrap_or(0xC0FFEE)
-}
-
 /// The `--mine` mode: runs the differential inconsistency miner (or a
 /// single `--mine-cell` re-probe) instead of the experiment battery and
 /// returns the process exit code. The report written to
@@ -814,12 +796,9 @@ fn run_mine(cli: &Cli) -> i32 {
     // defaults to a much smaller window than the battery; the usual
     // environment overrides still apply (and the cliff repro lines
     // set them explicitly).
-    let window = TraceWindow::new(
-        env_u64("MICROLIB_SKIP", 2_000),
-        env_u64("MICROLIB_SIM", 4_000),
-    );
+    let window = TraceWindow::new(knob("MICROLIB_SKIP", 2_000), knob("MICROLIB_SIM", 4_000));
     let base_opts = SimOptions {
-        seed: env_seed(),
+        seed: knob("MICROLIB_SEED", 0xC0FFEE),
         window,
         ..SimOptions::default()
     };
@@ -958,6 +937,11 @@ fn main() {
             exit(2);
         }
     };
+    // A malformed override is a usage error, never a silent default.
+    if let Err(e) = check_env() {
+        eprintln!("{e}");
+        exit(2);
+    }
     // `--sampled` must actually sample: override an unset or *disabling*
     // MICROLIB_SAMPLED (a stale `=0` in the shell would otherwise run the
     // whole battery in full mode while labeling the output sampled), but

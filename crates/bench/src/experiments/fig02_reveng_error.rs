@@ -3,12 +3,12 @@
 //! (long arbitrary trace window + constant 70-cycle memory). The paper read
 //! the reference numbers off the articles' graphs and found a 5% average
 //! error with occasional tendency flips (speedup↔slowdown); here the
-//! article numbers are *reproduced* by running the article setup (see
-//! DESIGN.md §2 on this substitution).
+//! article numbers are *reproduced* by running the article setup rather
+//! than read off the articles' graphs.
 
 use crate::Context;
 use microlib::report::{pct, text_table};
-use microlib::{article_speedup_with, SetupComparison};
+use microlib::{article_speedup, SetupComparison};
 use microlib_mech::MechanismKind;
 use microlib_trace::benchmarks;
 use rayon::prelude::*;
@@ -44,7 +44,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
                     Ok(SetupComparison {
                         benchmark: (*bench).to_owned(),
                         ours: matrix.speedup(bench, kind),
-                        article_setup: article_speedup_with(&store, kind, bench, article, seed)?,
+                        article_setup: article_speedup(&store, kind, bench, article, seed)?,
                     })
                 })
                 .collect::<Vec<Result<_, microlib::SimError>>>()

@@ -5,7 +5,7 @@
 
 use crate::Context;
 use microlib::report::{pct, text_table};
-use microlib::run_custom_keyed;
+use microlib::{Cell, CellMechanism};
 use microlib_mech::{MechanismKind, TagCorrelatingPrefetcher};
 use microlib_trace::benchmarks;
 use rayon::prelude::*;
@@ -35,20 +35,15 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
             .par_iter()
             .map(|bench| {
                 let base = matrix.result(bench, MechanismKind::Base);
-                // Keyed (not opaque) custom run: "queue=1" covers the one
-                // way this instance differs from the stock TCP, so the
-                // cell is memoizable — and disk-cacheable — like any
-                // standard-campaign cell.
-                let q1 = run_custom_keyed(
-                    &store,
-                    &cfg,
-                    Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1)),
-                    MechanismKind::Tcp,
-                    "queue=1",
-                    bench,
-                    &opts,
-                )
-                .expect("TCP/1 runs");
+                // "queue=1" covers the one way this instance differs from
+                // the stock TCP, so the cell is memoizable — and
+                // disk-cacheable — like any standard-campaign cell.
+                let tcp1 = CellMechanism::custom(MechanismKind::Tcp, "queue=1", || {
+                    Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1))
+                });
+                let q1 = store
+                    .run(&Cell::new(std::sync::Arc::clone(&cfg), bench, opts, tcp1))
+                    .expect("TCP/1 runs");
                 q1.perf.speedup_over(&base.perf)
             })
             .collect()

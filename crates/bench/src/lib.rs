@@ -4,10 +4,11 @@
 //! MicroLib paper. Each `fig*`/`tab*` binary prints the same rows/series
 //! the paper reports; `run_all` executes the full battery **in process**,
 //! sharing one standard campaign across every experiment that needs it.
-//! See DESIGN.md §6 for the experiment index and EXPERIMENTS.md for
-//! measured-vs-paper notes.
+//! [`experiments::ALL`] is the experiment index.
 //!
-//! All binaries accept the environment overrides:
+//! All binaries accept the environment overrides (numbers in decimal or
+//! `0x` hex; a malformed value is an error naming the variable — `run_all`
+//! exits 2 on it, see [`check_env`]):
 //!
 //! - `MICROLIB_SKIP` — warmed (functionally simulated) instructions
 //!   (default 150 000);
@@ -34,11 +35,62 @@ use std::sync::{Arc, Mutex};
 
 pub mod experiments;
 
+/// Reads a numeric environment override: unset or empty gives `default`;
+/// otherwise the value must be a decimal or `0x`-prefixed hex `u64` (the
+/// form repro lines print seeds in).
+///
+/// # Errors
+///
+/// A message naming the variable when the value does not parse.
+pub fn env_u64(name: &str, default: u64) -> Result<u64, String> {
+    let value = match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => return Ok(default),
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        Ok(value) if value.trim().is_empty() => return Ok(default),
+        Ok(value) => value,
+    };
+    parse_u64(&value).ok_or_else(|| format!("{name}={value:?} is not a decimal or 0x-hex integer"))
+}
+
+fn parse_u64(raw: &str) -> Option<u64> {
+    let raw = raw.trim();
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
+    }
+}
+
+/// Checks every environment override the standard settings read, so a
+/// driver can reject a malformed value before any work starts.
+///
+/// # Errors
+///
+/// The first malformed override.
+pub fn check_env() -> Result<(), String> {
+    for name in [
+        "MICROLIB_SKIP",
+        "MICROLIB_SIM",
+        "MICROLIB_SEED",
+        "MICROLIB_THREADS",
+    ] {
+        env_u64(name, 0)?;
+    }
+    sampling_from_env(TraceWindow::new(0, 0)).map(|_| ())
+}
+
+/// The standard settings read their overrides infallibly: a malformed
+/// value panics with the error (drivers reject it earlier through
+/// [`check_env`]).
+fn std_u64(name: &str, default: u64) -> u64 {
+    env_u64(name, default).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Environment-configurable trace window shared by all experiments.
 pub fn std_window() -> TraceWindow {
-    let skip = env_u64("MICROLIB_SKIP", 150_000);
-    let simulate = env_u64("MICROLIB_SIM", 100_000);
-    TraceWindow::new(skip, simulate)
+    TraceWindow::new(
+        std_u64("MICROLIB_SKIP", 150_000),
+        std_u64("MICROLIB_SIM", 100_000),
+    )
 }
 
 /// The longer "article setup" window for validation experiments (the
@@ -50,55 +102,48 @@ pub fn article_window() -> TraceWindow {
 
 /// Environment-configurable seed.
 pub fn std_seed() -> u64 {
-    env_u64("MICROLIB_SEED", 0xC0FFEE)
+    std_u64("MICROLIB_SEED", 0xC0FFEE)
 }
 
 /// Environment-configurable thread count (0 = all cores).
 pub fn std_threads() -> usize {
-    env_u64("MICROLIB_THREADS", 0) as usize
+    std_u64("MICROLIB_THREADS", 0) as usize
 }
 
 /// Environment-configurable sampling mode (`MICROLIB_SAMPLED`): unset,
 /// `0`, `off` or `false` run full simulations; `1`, `on` or `true` use
 /// [`SamplingMode::simpoints_for`] the standard window; an
 /// `interval/clusters[/warmup]` triple picks an explicit SimPoint plan.
-/// Unparseable values warn on stderr and fall back to the default plan.
+/// Any other value is malformed (see [`check_env`]).
 pub fn std_sampling() -> SamplingMode {
-    sampling_from_env(std_window())
+    sampling_from_env(std_window()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn sampling_from_env(window: TraceWindow) -> SamplingMode {
+fn sampling_from_env(window: TraceWindow) -> Result<SamplingMode, String> {
     match std::env::var("MICROLIB_SAMPLED") {
-        Ok(value) => parse_sampling_spec(&value, window),
-        Err(_) => SamplingMode::Full,
+        Ok(value) => parse_sampling_spec(&value, window).ok_or_else(|| {
+            format!("MICROLIB_SAMPLED={value:?} is not 0/1/on/off or interval/clusters[/warmup]")
+        }),
+        Err(_) => Ok(SamplingMode::Full),
     }
 }
 
-fn parse_sampling_spec(spec: &str, window: TraceWindow) -> SamplingMode {
+fn parse_sampling_spec(spec: &str, window: TraceWindow) -> Option<SamplingMode> {
     match spec {
-        "" | "0" | "off" | "false" => SamplingMode::Full,
-        "1" | "on" | "true" => SamplingMode::simpoints_for(window),
+        "" | "0" | "off" | "false" => Some(SamplingMode::Full),
+        "1" | "on" | "true" => Some(SamplingMode::simpoints_for(window)),
         spec => {
             let parts: Vec<Option<u64>> = spec.split('/').map(|p| p.parse::<u64>().ok()).collect();
-            match parts.as_slice() {
-                [Some(interval), Some(clusters)] => SamplingMode::SimPoints {
-                    interval: *interval,
-                    max_clusters: *clusters as usize,
-                    warmup: 0,
-                },
-                [Some(interval), Some(clusters), Some(warmup)] => SamplingMode::SimPoints {
-                    interval: *interval,
-                    max_clusters: *clusters as usize,
-                    warmup: *warmup,
-                },
-                _ => {
-                    eprintln!(
-                        "MICROLIB_SAMPLED={spec:?} is not 0/1/on/off or \
-                         interval/clusters[/warmup]; using the default plan"
-                    );
-                    SamplingMode::simpoints_for(window)
-                }
-            }
+            let (interval, clusters, warmup) = match parts.as_slice() {
+                [Some(interval), Some(clusters)] => (*interval, *clusters, 0),
+                [Some(interval), Some(clusters), Some(warmup)] => (*interval, *clusters, *warmup),
+                _ => return None,
+            };
+            Some(SamplingMode::SimPoints {
+                interval,
+                max_clusters: clusters as usize,
+                warmup,
+            })
         }
     }
 }
@@ -131,13 +176,6 @@ pub fn par_pool() -> rayon::ThreadPool {
         .num_threads(std_threads())
         .build()
         .expect("experiment thread pool")
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Runs `cfg` through the campaign engine with progress on stderr.
@@ -367,30 +405,53 @@ mod tests {
     #[test]
     fn sampling_spec_parses() {
         let w = TraceWindow::new(0, 100_000);
-        assert_eq!(parse_sampling_spec("off", w), SamplingMode::Full);
-        assert_eq!(parse_sampling_spec("0", w), SamplingMode::Full);
-        assert_eq!(parse_sampling_spec("1", w), SamplingMode::simpoints_for(w));
+        assert_eq!(parse_sampling_spec("off", w), Some(SamplingMode::Full));
+        assert_eq!(parse_sampling_spec("0", w), Some(SamplingMode::Full));
+        assert_eq!(
+            parse_sampling_spec("1", w),
+            Some(SamplingMode::simpoints_for(w))
+        );
         assert_eq!(
             parse_sampling_spec("5000/3", w),
-            SamplingMode::SimPoints {
+            Some(SamplingMode::SimPoints {
                 interval: 5_000,
                 max_clusters: 3,
                 warmup: 0
-            }
+            })
         );
         assert_eq!(
             parse_sampling_spec("5000/3/20000", w),
-            SamplingMode::SimPoints {
+            Some(SamplingMode::SimPoints {
                 interval: 5_000,
                 max_clusters: 3,
                 warmup: 20_000
-            }
+            })
         );
-        // Garbage falls back to the default plan (with a warning).
-        assert_eq!(
-            parse_sampling_spec("5000:3", w),
-            SamplingMode::simpoints_for(w)
-        );
+        // Garbage is malformed, not a silent default plan.
+        assert_eq!(parse_sampling_spec("5000:3", w), None);
+    }
+
+    #[test]
+    fn numbers_parse_decimal_and_hex_and_reject_garbage() {
+        assert_eq!(parse_u64("7"), Some(7));
+        assert_eq!(parse_u64("0x7"), Some(7));
+        assert_eq!(parse_u64("0XC0FFEE"), Some(0xC0FFEE));
+        assert_eq!(parse_u64(" 2000 "), Some(2_000));
+        assert_eq!(parse_u64("2k"), None);
+        assert_eq!(parse_u64("0x"), None);
+        assert_eq!(parse_u64("-1"), None);
+    }
+
+    #[test]
+    fn malformed_env_values_are_errors_naming_the_variable() {
+        // Variables no other test reads, so setting them cannot race.
+        std::env::set_var("MICROLIB_TEST_ENV_HEX", "0x7");
+        assert_eq!(env_u64("MICROLIB_TEST_ENV_HEX", 1), Ok(7));
+        std::env::set_var("MICROLIB_TEST_ENV_BAD", "2k");
+        let e = env_u64("MICROLIB_TEST_ENV_BAD", 100_000).unwrap_err();
+        assert!(e.to_string().contains("MICROLIB_TEST_ENV_BAD"), "{e}");
+        assert!(e.to_string().contains("2k"), "{e}");
+        assert_eq!(env_u64("MICROLIB_TEST_ENV_UNSET", 5), Ok(5));
     }
 
     #[test]

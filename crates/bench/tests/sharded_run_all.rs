@@ -318,3 +318,23 @@ fn usage_errors_exit_2() {
         );
     }
 }
+
+/// A malformed numeric or sampling override is a usage error naming the
+/// variable, never a silent fall-back to the default.
+#[test]
+fn malformed_env_overrides_exit_2() {
+    for (name, value) in [
+        ("MICROLIB_SIM", "2k"),
+        ("MICROLIB_SEED", "0xZZ"),
+        ("MICROLIB_SAMPLED", "5000:3"),
+    ] {
+        let out = run_all()
+            .env(name, value)
+            .args(["--no-cache", "--only", "tab01_config"])
+            .output()
+            .unwrap();
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}={value}:\n{stderr}");
+        assert!(stderr.contains(name), "{name}={value}:\n{stderr}");
+    }
+}

@@ -216,7 +216,7 @@ impl ArtifactStoreStats {
 /// # Examples
 ///
 /// ```
-/// use microlib::{run_one_with, ArtifactStore, SimOptions};
+/// use microlib::{ArtifactStore, Cell, SimOptions};
 /// use microlib_mech::MechanismKind;
 /// use microlib_model::SystemConfig;
 /// use microlib_trace::TraceWindow;
@@ -228,9 +228,10 @@ impl ArtifactStoreStats {
 ///     window: TraceWindow::new(2_000, 1_000),
 ///     ..SimOptions::default()
 /// };
-/// let a = run_one_with(&store, &config, MechanismKind::Ghb, "swim", &opts)?;
+/// let cell = Cell::new(config, "swim", opts, MechanismKind::Ghb);
+/// let a = store.run(&cell)?;
 /// // Identical request: served from the memo cache, same result.
-/// let b = run_one_with(&store, &config, MechanismKind::Ghb, "swim", &opts)?;
+/// let b = store.run(&cell)?;
 /// assert_eq!(a.perf, b.perf);
 /// assert_eq!(store.stats().memo_hits, 1);
 /// # Ok::<(), microlib::SimError>(())

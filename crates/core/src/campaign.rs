@@ -9,10 +9,10 @@
 //! the output **bit-identical for any worker count** (the paper's
 //! repeatability requirement, enforced by `tests/campaign_smoke.rs`).
 //!
-//! Unlike [`run_matrix`](crate::run_matrix) (which stops at the first
-//! failing cell), a campaign always runs every cell and records each
-//! failure next to its coordinates, so one bad configuration no longer
-//! aborts a 338-cell sweep.
+//! A campaign always runs every cell and records each failure next to its
+//! coordinates, so one bad configuration never aborts a 338-cell sweep
+//! ([`CampaignReport::into_matrix`] surfaces the first failure when a
+//! caller wants all-or-nothing).
 //!
 //! # Crash-safe resume
 //!
@@ -28,8 +28,9 @@
 //! the cells it touches.
 
 use crate::artifacts::ArtifactStore;
+use crate::cell::Cell;
 use crate::experiment::{ExperimentConfig, Matrix};
-use crate::simulator::{run_one, run_one_with, RunResult, SimError};
+use crate::simulator::{RunResult, SimError};
 use microlib_mech::MechanismKind;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +88,7 @@ type ProgressFn = dyn Fn(&CellUpdate<'_>) + Send + Sync;
 pub struct Campaign {
     config: ExperimentConfig,
     progress: Option<Box<ProgressFn>>,
-    store: Option<Arc<ArtifactStore>>,
+    store: Arc<ArtifactStore>,
 }
 
 impl std::fmt::Debug for Campaign {
@@ -109,33 +110,36 @@ impl Campaign {
     /// mechanism. Use [`with_store`](Campaign::with_store) to share
     /// artifacts *across* campaigns as well.
     pub fn new(config: ExperimentConfig) -> Self {
-        let store = ArtifactStore::enabled_by_env().then(|| Arc::new(ArtifactStore::new()));
+        let store = if ArtifactStore::enabled_by_env() {
+            ArtifactStore::new()
+        } else {
+            ArtifactStore::disabled()
+        };
         Campaign {
             config,
             progress: None,
-            store,
+            store: Arc::new(store),
         }
     }
 
     /// Replaces the campaign's artifact store with a shared one (a
     /// [disabled](ArtifactStore::disabled) store turns sharing off and
-    /// routes every cell through the legacy cold path).
+    /// routes every cell through the cold path).
     pub fn with_store(mut self, store: Arc<ArtifactStore>) -> Self {
-        self.store = store.is_enabled().then_some(store);
+        self.store = store;
         self
     }
 
     /// Disables artifact sharing for this campaign: every cell generates
-    /// its trace and runs its full warmup from scratch (the legacy path;
+    /// its trace and runs its full warmup from scratch (the cold path;
     /// results are identical either way).
-    pub fn without_artifacts(mut self) -> Self {
-        self.store = None;
-        self
+    pub fn without_artifacts(self) -> Self {
+        self.with_store(Arc::new(ArtifactStore::disabled()))
     }
 
-    /// The campaign's artifact store, if sharing is enabled.
-    pub fn artifact_store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.store.as_ref()
+    /// The store the campaign's cells run through.
+    pub fn artifact_store(&self) -> &Arc<ArtifactStore> {
+        &self.store
     }
 
     /// Installs a progress callback, invoked from worker threads after
@@ -206,10 +210,8 @@ impl Campaign {
             jobs.par_iter()
                 .map(|&(benchmark, mechanism)| {
                     let started = Instant::now();
-                    let outcome = match &self.store {
-                        Some(store) => run_one_with(store, &system, mechanism, benchmark, &opts),
-                        None => run_one(&self.config.system, mechanism, benchmark, &opts),
-                    };
+                    let cell = Cell::new(Arc::clone(&system), benchmark, opts, mechanism);
+                    let outcome = self.store.run(&cell);
                     let elapsed = started.elapsed();
                     if let Some(progress) = &self.progress {
                         progress(&CellUpdate {

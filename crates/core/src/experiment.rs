@@ -3,7 +3,7 @@
 //! itself runs on the campaign engine ([`crate::Campaign`]).
 
 use crate::sampling::SamplingMode;
-use crate::simulator::{RunResult, SimError, SimOptions};
+use crate::simulator::{RunResult, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
 use microlib_trace::{benchmarks, TraceWindow};
@@ -55,6 +55,28 @@ impl ExperimentConfig {
 }
 
 /// Results of a full sweep, indexable by (benchmark, mechanism).
+///
+/// # Examples
+///
+/// ```
+/// use microlib::{Campaign, ExperimentConfig, SamplingMode};
+/// use microlib_mech::MechanismKind;
+/// use microlib_model::SystemConfig;
+/// use microlib_trace::TraceWindow;
+///
+/// let cfg = ExperimentConfig {
+///     system: SystemConfig::baseline_constant_memory(),
+///     benchmarks: vec!["swim".into(), "crafty".into()],
+///     mechanisms: vec![MechanismKind::Base, MechanismKind::Sp],
+///     window: TraceWindow::new(0, 2_000),
+///     seed: 7,
+///     threads: 2,
+///     sampling: SamplingMode::Full,
+/// };
+/// let matrix = Campaign::new(cfg).run()?.into_matrix()?;
+/// assert!(matrix.speedup("swim", MechanismKind::Sp) > 0.0);
+/// # Ok::<(), microlib::SimError>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct Matrix {
     benchmarks: Vec<String>,
@@ -144,44 +166,13 @@ impl Matrix {
     }
 }
 
-/// Runs the sweep on the campaign engine, parallelizing cells across the
-/// work-stealing pool. This is the abort-on-failure convenience wrapper
-/// around [`Campaign`](crate::Campaign); use the campaign API directly for
-/// per-cell error capture and progress reporting.
-///
-/// # Errors
-///
-/// Returns the configuration error, or the first [`SimError`] any cell
-/// produced (in deterministic row-major cell order).
-///
-/// # Examples
-///
-/// ```
-/// use microlib::{run_matrix, ExperimentConfig, SamplingMode};
-/// use microlib_mech::MechanismKind;
-/// use microlib_model::SystemConfig;
-/// use microlib_trace::TraceWindow;
-///
-/// let cfg = ExperimentConfig {
-///     system: SystemConfig::baseline_constant_memory(),
-///     benchmarks: vec!["swim".into(), "crafty".into()],
-///     mechanisms: vec![MechanismKind::Base, MechanismKind::Sp],
-///     window: TraceWindow::new(0, 2_000),
-///     seed: 7,
-///     threads: 2,
-///     sampling: SamplingMode::Full,
-/// };
-/// let matrix = run_matrix(&cfg)?;
-/// assert!(matrix.speedup("swim", MechanismKind::Sp) > 0.0);
-/// # Ok::<(), microlib::SimError>(())
-/// ```
-pub fn run_matrix(config: &ExperimentConfig) -> Result<Matrix, SimError> {
-    crate::Campaign::new(config.clone()).run()?.into_matrix()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sweep(cfg: &ExperimentConfig) -> Result<Matrix, crate::SimError> {
+        crate::Campaign::new(cfg.clone()).run()?.into_matrix()
+    }
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -197,7 +188,7 @@ mod tests {
 
     #[test]
     fn matrix_has_all_cells() {
-        let m = run_matrix(&tiny_config()).unwrap();
+        let m = sweep(&tiny_config()).unwrap();
         assert_eq!(m.benchmarks().len(), 2);
         assert_eq!(m.mechanisms().len(), 2);
         for b in ["swim", "gzip"] {
@@ -212,7 +203,7 @@ mod tests {
 
     #[test]
     fn base_speedup_is_exactly_one() {
-        let m = run_matrix(&tiny_config()).unwrap();
+        let m = sweep(&tiny_config()).unwrap();
         for b in ["swim", "gzip"] {
             assert!((m.speedup(b, MechanismKind::Base) - 1.0).abs() < 1e-12);
         }
@@ -222,9 +213,9 @@ mod tests {
     fn parallel_and_serial_agree() {
         let mut cfg = tiny_config();
         cfg.threads = 1;
-        let serial = run_matrix(&cfg).unwrap();
+        let serial = sweep(&cfg).unwrap();
         cfg.threads = 4;
-        let parallel = run_matrix(&cfg).unwrap();
+        let parallel = sweep(&cfg).unwrap();
         for b in ["swim", "gzip"] {
             for k in [MechanismKind::Base, MechanismKind::Tp] {
                 assert_eq!(serial.result(b, k).perf, parallel.result(b, k).perf);
@@ -234,7 +225,7 @@ mod tests {
 
     #[test]
     fn mean_speedup_over_selection() {
-        let m = run_matrix(&tiny_config()).unwrap();
+        let m = sweep(&tiny_config()).unwrap();
         let all = m.mean_speedup(MechanismKind::Tp);
         let swim_only = m.mean_speedup_over(MechanismKind::Tp, &["swim"]);
         assert!(all > 0.0 && swim_only > 0.0);
@@ -243,7 +234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in sweep")]
     fn missing_cell_panics() {
-        let m = run_matrix(&tiny_config()).unwrap();
+        let m = sweep(&tiny_config()).unwrap();
         m.result("mcf", MechanismKind::Base);
     }
 }

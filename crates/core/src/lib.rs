@@ -20,10 +20,13 @@
 //! | [`microlib_cost`] | CACTI-like area + XCACTI-like energy models |
 //! | `microlib` (this crate) | simulation driver, campaign engine, experiment matrix, ranking & analysis |
 //!
-//! Sweeps run on the [`Campaign`] engine: a rayon-backed work-stealing
-//! pool over the (benchmark × mechanism) grid with deterministic result
-//! ordering, per-cell error capture and structured progress reporting.
-//! [`run_matrix`] is its abort-on-first-failure convenience wrapper.
+//! Every simulation is a [`Cell`] — configuration, benchmark, options and
+//! mechanism — answered by [`ArtifactStore::run`], which shares traces,
+//! warm states and sampling plans across cells and memoizes results (a
+//! [disabled](ArtifactStore::disabled) store is the cold path). Sweeps run
+//! on the [`Campaign`] engine: a rayon-backed work-stealing pool over the
+//! (benchmark × mechanism) grid with deterministic result ordering,
+//! per-cell error capture and structured progress reporting.
 //!
 //! ## Quick start
 //!
@@ -48,14 +51,14 @@
 //! ```
 //!
 //! The `crates/bench` experiment binaries regenerate every figure and
-//! table of the paper; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for measured-vs-paper results.
+//! table of the paper; `run_all` runs the whole battery.
 
 #![warn(missing_docs)]
 
 mod analytic;
 mod artifacts;
 mod campaign;
+mod cell;
 mod disk;
 mod experiment;
 pub mod fault;
@@ -71,8 +74,9 @@ mod validation;
 pub use analytic::{run_analytic, AnalyticResult};
 pub use artifacts::{config_key, ArtifactStore, ArtifactStoreStats, FinishGuard};
 pub use campaign::{Campaign, CampaignCell, CampaignReport, CellUpdate};
+pub use cell::{Cell, CellMechanism, MechanismBuilder};
 pub use disk::{DiskCache, FORMAT_VERSION};
-pub use experiment::{run_matrix, ExperimentConfig, Matrix};
+pub use experiment::{ExperimentConfig, Matrix};
 pub use lease::{set_run_scope, Claim, LeaseGuard, LeaseManager, QuarantineReport};
 pub use ranking::{
     rank_by_speedup, rank_mechanisms, ranking_row, subset_winner_analysis, RankedMechanism,
@@ -81,14 +85,10 @@ pub use ranking::{
 pub use sampling::SamplingMode;
 pub use sensitivity::{benchmark_sensitivity, sensitivity_classes, BenchmarkSensitivity};
 pub use shard::ShardSpec;
-pub use simulator::{
-    run_custom, run_custom_keyed, run_custom_with, run_one, run_one_with, RunResult, SimError,
-    SimOptions,
-};
+pub use simulator::{run_one, RunResult, SimError, SimOptions};
 pub use validation::{
-    article_speedup, article_speedup_with, compare_dbcp_variants, compare_dbcp_variants_with,
-    compare_fidelity, compare_fidelity_with, compare_setups, speedup_of, DbcpComparison,
-    FidelityComparison, SetupComparison,
+    article_speedup, compare_dbcp_variants, compare_fidelity, compare_setups, speedup_of,
+    DbcpComparison, FidelityComparison, SetupComparison,
 };
 
 // Re-export the component crates so downstream users need only one

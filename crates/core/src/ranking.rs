@@ -23,11 +23,11 @@ pub struct RankedMechanism {
 /// # Examples
 ///
 /// ```no_run
-/// use microlib::{rank_mechanisms, run_matrix, ExperimentConfig};
+/// use microlib::{rank_mechanisms, Campaign, ExperimentConfig};
 /// use microlib_trace::TraceWindow;
 ///
 /// let cfg = ExperimentConfig::paper_baseline(TraceWindow::new(0, 50_000));
-/// let matrix = run_matrix(&cfg)?;
+/// let matrix = Campaign::new(cfg.clone()).run()?.into_matrix()?;
 /// let names: Vec<&str> = cfg.benchmarks.iter().map(String::as_str).collect();
 /// for row in rank_mechanisms(&matrix, &names) {
 ///     println!("{:2}. {:8} {:.3}", row.rank, row.mechanism, row.mean_speedup);
@@ -203,7 +203,7 @@ pub fn subset_winner_analysis(matrix: &Matrix) -> SubsetWinners {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_matrix, ExperimentConfig};
+    use crate::experiment::ExperimentConfig;
     use microlib_model::SystemConfig;
     use microlib_trace::TraceWindow;
 
@@ -217,7 +217,11 @@ mod tests {
             threads: 0,
             sampling: crate::SamplingMode::Full,
         };
-        run_matrix(&cfg).unwrap()
+        crate::Campaign::new(cfg)
+            .run()
+            .unwrap()
+            .into_matrix()
+            .unwrap()
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! whole-window measurements.
 //!
 //! Sampling is a property of [`SimOptions`]: with
-//! [`SamplingMode::SimPoints`] every `run_one*` entry point (and therefore
-//! every campaign cell) turns into
+//! [`SamplingMode::SimPoints`] every [`Cell`](crate::Cell) of a registered
+//! mechanism (and therefore every campaign cell) turns into
 //!
 //! 1. a **plan** — BBV-profile the window, cluster the interval vectors,
 //!    keep a weighted representative (plus, for multi-member clusters, a
@@ -28,7 +28,7 @@
 //! and with the artifact store on or off.
 
 use crate::artifacts::ArtifactStore;
-use crate::simulator::{simulate, simulate_sampled, RunResult, SimError, SimOptions};
+use crate::simulator::{simulate, Plan, RunResult, SimError, SimOptions};
 use microlib_cpu::CoreStats;
 use microlib_mech::MechanismKind;
 use microlib_model::stats::{SampledPoint, SamplingEstimate};
@@ -110,8 +110,8 @@ impl SamplingMode {
 }
 
 /// Computes (or fetches) the sampling plan and runs one detailed slice per
-/// representative interval, recombining the results. Called by the
-/// `run_one*` entry points when `opts.sampling` samples.
+/// representative interval, recombining the results. Called by
+/// [`ArtifactStore::run`] when a cell's `opts.sampling` samples.
 pub(crate) fn run_sampled(
     store: Option<&ArtifactStore>,
     config: Arc<SystemConfig>,
@@ -158,38 +158,21 @@ pub(crate) fn run_sampled(
         opts.window.skip.saturating_sub(warmup)
     };
 
-    if windows.len() == 1 && windows[0] == opts.window {
-        // Degenerate single-slice plan (window too short to cluster):
-        // run it exactly as a full simulation would (bit-identical).
-        let child = SimOptions {
-            sampling: SamplingMode::Full,
-            ..*opts
-        };
-        let result = simulate(
-            store,
-            Arc::clone(&config),
-            label.build(),
-            label,
-            benchmark,
-            &child,
-            warm_start,
-        )?;
-        return Ok(combine(label, opts, &plan, vec![(1.0, result)]));
-    }
-
-    let child = SimOptions {
-        sampling: SamplingMode::Full,
-        ..*opts
+    // A degenerate single-slice plan (window too short to cluster) runs
+    // exactly as a full simulation would (bit-identical).
+    let detail = if windows.len() == 1 && windows[0] == opts.window {
+        Plan::full(opts.window, warm_start)
+    } else {
+        Plan::slices(&windows, opts.window.skip, warm_start)
     };
-    let parts = simulate_sampled(
+    let parts = simulate(
         store,
-        Arc::clone(&config),
+        config,
         label.build(),
         label,
         benchmark,
-        &child,
-        warm_start,
-        &windows,
+        opts,
+        &detail,
     )?;
     let parts: Vec<(f64, RunResult)> = weights.into_iter().zip(parts).collect();
     Ok(combine(label, opts, &plan, parts))

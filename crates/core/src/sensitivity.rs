@@ -28,11 +28,11 @@ impl BenchmarkSensitivity {
 /// # Examples
 ///
 /// ```no_run
-/// use microlib::{benchmark_sensitivity, run_matrix, ExperimentConfig};
+/// use microlib::{benchmark_sensitivity, Campaign, ExperimentConfig};
 /// use microlib_trace::TraceWindow;
 ///
 /// let cfg = ExperimentConfig::paper_baseline(TraceWindow::new(0, 50_000));
-/// let matrix = run_matrix(&cfg)?;
+/// let matrix = Campaign::new(cfg.clone()).run()?.into_matrix()?;
 /// for s in benchmark_sensitivity(&matrix) {
 ///     println!("{:10} span {:.3}", s.benchmark, s.span());
 /// }
@@ -83,7 +83,7 @@ pub fn sensitivity_classes(matrix: &Matrix, count: usize) -> (Vec<String>, Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_matrix, ExperimentConfig};
+    use crate::experiment::ExperimentConfig;
     use microlib_model::SystemConfig;
     use microlib_trace::TraceWindow;
 
@@ -101,7 +101,11 @@ mod tests {
             threads: 0,
             sampling: crate::SamplingMode::Full,
         };
-        run_matrix(&cfg).unwrap()
+        crate::Campaign::new(cfg)
+            .run()
+            .unwrap()
+            .into_matrix()
+            .unwrap()
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! one mechanism, run over a trace window.
 
 use crate::artifacts::ArtifactStore;
-use crate::sampling::{run_sampled, SamplingMode};
+use crate::cell::Cell;
+use crate::sampling::SamplingMode;
 use microlib_cpu::{CoreStats, OoOCore};
 use microlib_mech::MechanismKind;
 use microlib_mem::{IntegrityError, MemorySystem};
@@ -337,9 +338,10 @@ impl From<ConfigError> for SimError {
     }
 }
 
-/// Runs one (benchmark, mechanism, configuration) simulation on the
-/// legacy cold path (fresh trace generation, full warmup). Sweeps should
-/// prefer [`run_one_with`], which shares mechanism-independent artifacts.
+/// Runs one (benchmark, mechanism, configuration) simulation on the cold
+/// path (fresh trace generation, full warmup, no memo): shorthand for
+/// [`ArtifactStore::run`] on a [disabled](ArtifactStore::disabled) store.
+/// Sweeps should run their [`Cell`]s through a shared store instead.
 ///
 /// # Errors
 ///
@@ -374,201 +376,12 @@ pub fn run_one(
     benchmark: &str,
     opts: &SimOptions,
 ) -> Result<RunResult, SimError> {
-    if opts.sampling.is_sampled() {
-        return run_sampled(None, Arc::new(config.clone()), mechanism, benchmark, opts);
-    }
-    simulate(
-        None,
+    ArtifactStore::disabled().run(&Cell::new(
         Arc::new(config.clone()),
-        mechanism.build(),
+        benchmark,
+        *opts,
         mechanism,
-        benchmark,
-        opts,
-        0,
-    )
-}
-
-/// Like [`run_one`], but sharing mechanism-independent artifacts through
-/// `store`: the trace buffer and (for mechanisms whose warmup is
-/// event-replayable) the warm checkpoint are computed once per
-/// (benchmark, configuration) and reused, and identical cells are served
-/// from the store's result memo. Results are bit-identical to
-/// [`run_one`]'s.
-///
-/// A [disabled](ArtifactStore::disabled) store routes straight to the
-/// cold path.
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-pub fn run_one_with(
-    store: &ArtifactStore,
-    config: &Arc<SystemConfig>,
-    mechanism: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    if !store.is_enabled() {
-        if opts.sampling.is_sampled() {
-            return run_sampled(None, Arc::clone(config), mechanism, benchmark, opts);
-        }
-        return simulate(
-            None,
-            Arc::clone(config),
-            mechanism.build(),
-            mechanism,
-            benchmark,
-            opts,
-            0,
-        );
-    }
-    let key = ArtifactStore::memo_key(config, mechanism, benchmark, opts);
-    if let Some(hit) = store.memo_probe(&key) {
-        return Ok((*hit).clone());
-    }
-    let result = store.memo_run(
-        &key,
-        &format!("{benchmark} x {mechanism}"),
-        benchmark,
-        &repro_hint(opts),
-        || {
-            crate::fault::trigger("cell", &format!("{benchmark}+{mechanism}"));
-            if opts.sampling.is_sampled() {
-                run_sampled(Some(store), Arc::clone(config), mechanism, benchmark, opts)
-            } else {
-                simulate(
-                    Some(store),
-                    Arc::clone(config),
-                    mechanism.build(),
-                    mechanism,
-                    benchmark,
-                    opts,
-                    0,
-                )
-            }
-        },
-    )?;
-    Ok((*result).clone())
-}
-
-/// The environment part of a quarantined cell's minimized repro command:
-/// enough to replay exactly this window and seed single-process, without
-/// the cache (so the repro actually re-executes the crashing cell).
-fn repro_hint(opts: &SimOptions) -> String {
-    format!(
-        "MICROLIB_SKIP={} MICROLIB_SIM={} MICROLIB_SEED={:#x} run_all --no-cache",
-        opts.window.skip, opts.window.simulate, opts.seed
-    )
-}
-
-/// Like [`run_one`] but with a caller-constructed mechanism instance —
-/// the hook for parameter studies such as Fig 10's prefetch-queue-size
-/// sweep. `label` tags the result rows.
-///
-/// The [`sampling`](SimOptions::sampling) option is ignored: sampled runs
-/// re-instantiate the mechanism per representative interval, which an
-/// opaque instance cannot support, so custom runs always simulate the
-/// full window.
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-pub fn run_custom(
-    config: &SystemConfig,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    simulate(
-        None,
-        Arc::new(config.clone()),
-        mech,
-        label,
-        benchmark,
-        opts,
-        0,
-    )
-}
-
-/// Like [`run_custom`], but sharing trace and warm artifacts through
-/// `store`. Caller-constructed mechanisms are opaque, so — unlike
-/// [`run_one_with`] — results are **not** memoized (and, as with
-/// [`run_custom`], the sampling option is ignored); only the
-/// mechanism-independent artifacts are shared.
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-pub fn run_custom_with(
-    store: &ArtifactStore,
-    config: &Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    let store = store.is_enabled().then_some(store);
-    simulate(store, Arc::clone(config), mech, label, benchmark, opts, 0)
-}
-
-/// Like [`run_custom_with`], but memoizable: the caller supplies a
-/// `variant` tag that — together with the label and the regular content
-/// key — uniquely identifies the custom mechanism's construction (e.g.
-/// `"queue=1"` for a TCP built with a 1-entry request queue). With that
-/// contract the result can be served from the store's memo (including its
-/// on-disk tier), which plain [`run_custom_with`] must never do for an
-/// opaque instance.
-///
-/// The caller is responsible for `variant` covering **every** parameter
-/// the instance was built with; two different instances under the same
-/// `(label, variant)` would alias in the memo.
-///
-/// As with [`run_custom`], the sampling option is ignored (custom runs
-/// always simulate the full window).
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-#[allow(clippy::too_many_arguments)] // run_custom_with plus the variant tag
-pub fn run_custom_keyed(
-    store: &ArtifactStore,
-    config: &Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    variant: &str,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    if !store.is_enabled() {
-        return simulate(None, Arc::clone(config), mech, label, benchmark, opts, 0);
-    }
-    let key = format!(
-        "{}|variant={variant}",
-        ArtifactStore::memo_key(config, label, benchmark, opts)
-    );
-    if let Some(hit) = store.memo_probe(&key) {
-        return Ok((*hit).clone());
-    }
-    let result = store.memo_run(
-        &key,
-        &format!("{benchmark} x {label} [{variant}]"),
-        benchmark,
-        &repro_hint(opts),
-        || {
-            crate::fault::trigger("cell", &format!("{benchmark}+{label}"));
-            simulate(
-                Some(store),
-                Arc::clone(config),
-                mech,
-                label,
-                benchmark,
-                opts,
-                0,
-            )
-        },
-    )?;
-    Ok((*result).clone())
+    ))
 }
 
 /// Builds the warmed system for a run: functional memory initialized,
@@ -579,7 +392,7 @@ pub fn run_custom_keyed(
 /// mechanism events (mechanisms that opt in via
 /// [`warm_events_only`](microlib_model::Mechanism::warm_events_only)) or
 /// runs the exact full warm path over the shared trace (everything else).
-/// Without a store, the legacy path: generate, initialize, warm.
+/// Without a store, the cold path: generate, initialize, warm.
 #[allow(clippy::too_many_arguments)] // one bundle per warm-phase input
 fn warmed_system(
     store: Option<&ArtifactStore>,
@@ -637,15 +450,121 @@ fn warmed_system(
     Ok(stream)
 }
 
-/// The full-window simulation driver behind every `run_*` entry point.
+/// One measured region of a detailed stretch, in committed instructions
+/// relative to the stretch start.
+struct Mark {
+    /// Where measurement opens; `None` opens it before the first cycle
+    /// against the zero counter baseline.
+    begin_at: Option<u64>,
+    /// Where measurement closes; `u64::MAX` closes it at drain.
+    end_at: u64,
+}
+
+/// One contiguous detailed-simulation phase: fed `feed` instructions
+/// starting at absolute instruction `start`, with the measured regions
+/// inside it.
+struct Stretch {
+    start: u64,
+    feed: u64,
+    marks: Vec<Mark>,
+}
+
+/// Where a run simulates in detail and what it measures: the driver warms
+/// `[warm_start, skip)`, then walks the stretches in order, fast-forwarding
+/// functionally through any gap before each one.
+pub(crate) struct Plan {
+    warm_start: u64,
+    stretches: Vec<Stretch>,
+}
+
+/// Detailed instructions committed before a measured slice (fills the
+/// out-of-order window so measurement starts in steady issue).
+const SLICE_RAMP: u64 = 1_024;
+
+/// Detailed instructions fed past a measured slice so the pipeline stays
+/// busy while the last measured instructions commit.
+const SLICE_TAIL: u64 = 512;
+
+impl Plan {
+    /// Full mode: one stretch over the whole window, measured against the
+    /// zero counter baseline and captured at drain.
+    pub(crate) fn full(window: TraceWindow, warm_start: u64) -> Self {
+        Plan {
+            warm_start,
+            stretches: vec![Stretch {
+                start: window.skip,
+                feed: window.simulate,
+                marks: vec![Mark {
+                    begin_at: None,
+                    end_at: u64::MAX,
+                }],
+            }],
+        }
+    }
+
+    /// Sampled mode: the slice windows laid out as detailed stretches. A
+    /// ramp before each slice and a tail after it keep measurement in
+    /// steady state; overlapping or touching extents merge into one
+    /// stretch. `floor` is the first instruction detailed simulation may
+    /// touch (the window start — everything before it is warm phase).
+    pub(crate) fn slices(windows: &[TraceWindow], floor: u64, warm_start: u64) -> Self {
+        let mut stretches: Vec<Stretch> = Vec::new();
+        for w in windows {
+            let detail_start = w.skip.saturating_sub(SLICE_RAMP).max(floor);
+            let feed_end = w.end() + SLICE_TAIL;
+            match stretches.last_mut() {
+                // The previous tail (or measured region) doubles as this
+                // slice's ramp.
+                Some(cur) if detail_start <= cur.start + cur.feed => {
+                    cur.feed = cur.feed.max(feed_end - cur.start);
+                    cur.marks.push(Mark {
+                        begin_at: Some(w.skip - cur.start),
+                        end_at: w.end() - cur.start,
+                    });
+                }
+                _ => stretches.push(Stretch {
+                    start: detail_start,
+                    feed: feed_end - detail_start,
+                    marks: vec![Mark {
+                        begin_at: Some(w.skip - detail_start),
+                        end_at: w.end() - detail_start,
+                    }],
+                }),
+            }
+        }
+        Plan {
+            warm_start,
+            stretches,
+        }
+    }
+}
+
+/// The simulation driver behind every cell: one warm phase up to the
+/// window start, then one continuous pass over the trace that alternates
+/// **detailed stretches** with **functional fast-forward** through the
+/// gaps between them. Caches, the functional memory and the mechanism
+/// evolve across the whole window exactly once.
 ///
-/// `warm_start` truncates the functional warm phase to the instructions
-/// in `[warm_start, skip)` — `0` (every full-mode run) warms the whole
-/// prefix. Runs with a bounded warm-up budget pass the window start minus
-/// the budget; instructions before `warm_start` are skipped entirely
-/// (their stores never reach the functional image, which stays
-/// self-consistent for the integrity checker but approximates the true
-/// architectural state — the accuracy trade the budget buys).
+/// Returns one measured part per plan mark, in plan order, each shaped
+/// like a [`RunResult`].
+///
+/// The two plan shapes measure on different counter baselines:
+///
+/// - a **full** plan's single mark counts from zero and is captured at
+///   drain. `finish_warmup` rebases only the cache counters, so counters
+///   it leaves alone — notably the mechanism's table and prefetch
+///   counters — include warm-phase activity;
+/// - a **sampled** slice is the difference of two snapshots taken as
+///   committed instructions cross its boundaries, so it counts detailed
+///   activity inside the slice only.
+///
+/// `plan.warm_start` truncates the functional warm phase to the
+/// instructions in `[warm_start, skip)` (`0` warms the whole prefix).
+/// Instructions before `warm_start` are skipped entirely: their stores
+/// never reach the functional image, which stays self-consistent for the
+/// integrity checker but approximates the true architectural state — the
+/// accuracy trade a bounded warm-up budget buys.
+#[allow(clippy::too_many_arguments)] // one bundle per run input
 pub(crate) fn simulate(
     store: Option<&ArtifactStore>,
     config: Arc<SystemConfig>,
@@ -653,149 +572,18 @@ pub(crate) fn simulate(
     label: MechanismKind,
     benchmark: &str,
     opts: &SimOptions,
-    warm_start: u64,
-) -> Result<RunResult, SimError> {
-    let profile = benchmarks::by_name(benchmark)
-        .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-    let benchmark: &'static str = profile.name;
-    let hardware = mech.hardware();
-    let warm_replayable = mech.warm_events_only();
-    let warm_start = warm_start.min(opts.window.skip);
-
-    let mut mem = MemorySystem::new(Arc::clone(&config), vec![mech])?;
-    mem.set_check_values(opts.check_values);
-    let mut stream = warmed_system(
-        store,
-        &config,
-        &mut mem,
-        warm_replayable,
-        benchmark,
-        opts,
-        warm_start,
-        opts.window.end(),
-    )?;
-    let start = mem.finish_warmup();
-
-    let mut core = OoOCore::new(config.core);
-    let mut trace = stream.by_ref().take(opts.window.simulate as usize);
-    let budget = opts.cycle_budget() + start.raw();
-    let mut now = start;
-    let mut completions = Vec::new();
-    loop {
-        mem.begin_cycle_into(now, &mut completions);
-        core.cycle(now, &completions, &mut mem, &mut trace);
-        if let Some(error) = mem.integrity_error() {
-            return Err(SimError::Integrity {
-                benchmark: benchmark.to_owned(),
-                error,
-            });
-        }
-        if core.drained() {
-            break;
-        }
-        if now.raw() >= budget {
-            return Err(SimError::Timeout {
-                benchmark: benchmark.to_owned(),
-                cycles: budget,
-            });
-        }
-        now += 1;
-    }
-
-    let measured = StatsSnapshot::capture(&core, &mem);
-    Ok(result_from(benchmark, label, hardware, &measured))
-}
-
-/// One measured region of a sampled cell's detailed stretch, in committed
-/// instructions relative to the stretch start.
-struct Mark {
-    begin_at: u64,
-    end_at: u64,
-}
-
-/// One contiguous detailed-simulation phase of a sampled cell: fed
-/// `feed` instructions starting at absolute instruction `start`, with
-/// the measured regions (slices) inside it. Stretches are built from the
-/// plan's slice windows; a ramp before each measured region and a tail
-/// after it keep measurement in steady state, and overlapping extents
-/// merge into one stretch.
-struct Stretch {
-    start: u64,
-    feed: u64,
-    marks: Vec<Mark>,
-}
-
-/// Detailed instructions committed before a measured region (fills the
-/// out-of-order window so measurement starts in steady issue).
-const SLICE_RAMP: u64 = 1_024;
-
-/// Detailed instructions fed past a measured region so the pipeline stays
-/// busy while the last measured instructions commit.
-const SLICE_TAIL: u64 = 512;
-
-/// Lays the plan's slice windows out as detailed stretches. `floor` is
-/// the first instruction detailed simulation may touch (the window
-/// start — everything before it belongs to the warm phase).
-fn build_stretches(windows: &[TraceWindow], floor: u64) -> Vec<Stretch> {
-    let mut stretches: Vec<Stretch> = Vec::new();
-    for w in windows {
-        let detail_start = w.skip.saturating_sub(SLICE_RAMP).max(floor);
-        let feed_end = w.end() + SLICE_TAIL;
-        match stretches.last_mut() {
-            // Overlapping or touching extents merge: the previous tail
-            // (or measured region) doubles as this slice's ramp.
-            Some(cur) if detail_start <= cur.start + cur.feed => {
-                cur.feed = cur.feed.max(feed_end - cur.start);
-                cur.marks.push(Mark {
-                    begin_at: w.skip - cur.start,
-                    end_at: w.end() - cur.start,
-                });
-            }
-            _ => stretches.push(Stretch {
-                start: detail_start,
-                feed: feed_end - detail_start,
-                marks: vec![Mark {
-                    begin_at: w.skip - detail_start,
-                    end_at: w.end() - detail_start,
-                }],
-            }),
-        }
-    }
-    stretches
-}
-
-/// The sampled-cell driver: one warm phase to the window start, then one
-/// continuous pass over the trace that alternates **functional
-/// fast-forward** through the gaps with **detailed stretches** over the
-/// plan's slice windows. Caches, the functional memory and the mechanism
-/// evolve across the whole window exactly once (the warm fidelity of the
-/// skip phase, everywhere outside the slices), so slice measurements see
-/// warm state without re-running a prefix per slice.
-///
-/// Returns one measured part per plan point, in plan order, each shaped
-/// like a [`RunResult`] of its slice.
-#[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the plan
-pub(crate) fn simulate_sampled(
-    store: Option<&ArtifactStore>,
-    config: Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-    warm_start: u64,
-    windows: &[TraceWindow],
+    plan: &Plan,
 ) -> Result<Vec<RunResult>, SimError> {
     let profile = benchmarks::by_name(benchmark)
         .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
     let benchmark: &'static str = profile.name;
     let hardware = mech.hardware();
     let warm_replayable = mech.warm_events_only();
-    let warm_start = warm_start.min(opts.window.skip);
-    let stretches = build_stretches(windows, opts.window.skip);
-    let trace_len = stretches
+    let warm_start = plan.warm_start.min(opts.window.skip);
+    let trace_len = plan
+        .stretches
         .last()
-        .map(|s| s.start + s.feed)
-        .unwrap_or(opts.window.end());
+        .map_or(opts.window.end(), |s| s.start + s.feed);
 
     let mut mem = MemorySystem::new(Arc::clone(&config), vec![mech])?;
     mem.set_check_values(opts.check_values);
@@ -810,18 +598,23 @@ pub(crate) fn simulate_sampled(
         trace_len,
     )?;
 
-    let mut parts: Vec<RunResult> = Vec::with_capacity(windows.len());
+    let timeout = |cycles: u64| SimError::Timeout {
+        benchmark: benchmark.to_owned(),
+        cycles,
+    };
+    let mut parts: Vec<RunResult> = Vec::new();
     let mut now = mem.finish_warmup();
-    // Gaps between slices apply prefetches functionally instead of
-    // dropping them: a continuous detailed run would have issued them,
-    // and slices measured after a prefetch-starved gap systematically
-    // overstate prefetcher misses. (The prefix warm above stays in the
-    // default drop mode — it must match the shared warm checkpoints.)
-    mem.set_warm_prefetch_fill(true);
-    for stretch in &stretches {
-        // Fast-forward the gap functionally (the same fidelity as the
-        // skip phase), with the warm clock resuming from detailed time.
+    let mut completions = Vec::new();
+    for (i, stretch) in plan.stretches.iter().enumerate() {
         if stretch.start > stream.stream_position() {
+            // Fast-forward the gap functionally (the fidelity of the skip
+            // phase), the warm clock resuming from detailed time. Gaps
+            // apply prefetches functionally instead of dropping them: a
+            // continuous detailed run would have issued them, and slices
+            // measured after a prefetch-starved gap overstate prefetcher
+            // misses. (The prefix warm stays in the default drop mode — it
+            // must match the shared warm checkpoints.)
+            mem.set_warm_prefetch_fill(true);
             mem.resume_warmup(now);
             let gap = stretch.start - stream.stream_position();
             warm_loop(&mut mem, &mut stream, gap);
@@ -831,10 +624,19 @@ pub(crate) fn simulate_sampled(
         let mut core = OoOCore::new(config.core);
         let mut trace = stream.by_ref().take(stretch.feed as usize);
         let budget = opts.cycle_budget_for(stretch.feed) + now.raw();
-        let mut marks = stretch.marks.iter();
-        let mut next_mark = marks.next();
-        let mut open: Option<StatsSnapshot> = None;
-        let mut completions = Vec::new();
+        let mut marks = stretch.marks.iter().peekable();
+        let mut open = marks
+            .peek()
+            .is_some_and(|m| m.begin_at.is_none())
+            .then(StatsSnapshot::default);
+        // The committed count at which the next boundary is crossed: the
+        // hot loop's only per-cycle measurement work is one compare.
+        let boundary_of = |open: bool, next: Option<&&Mark>| match next {
+            None => u64::MAX,
+            Some(mark) if open => mark.end_at,
+            Some(mark) => mark.begin_at.unwrap_or(u64::MAX),
+        };
+        let mut boundary = boundary_of(open.is_some(), marks.peek());
         loop {
             mem.begin_cycle_into(now, &mut completions);
             core.cycle(now, &completions, &mut mem, &mut trace);
@@ -844,54 +646,54 @@ pub(crate) fn simulate_sampled(
                     error,
                 });
             }
-            // A commit burst can cross a begin and an end boundary in one
-            // cycle; settle all crossed boundaries before continuing.
-            loop {
-                let committed = core.stats().committed;
-                match (&open, next_mark) {
-                    (Some(begin), Some(mark)) if committed >= mark.end_at => {
-                        let measured = begin.delta_from(&StatsSnapshot::capture(&core, &mem));
-                        parts.push(result_from(benchmark, label, hardware.clone(), &measured));
-                        open = None;
-                        next_mark = marks.next();
+            if core.stats().committed >= boundary {
+                // A commit burst can cross a begin and an end boundary in
+                // one cycle; settle all crossed boundaries.
+                loop {
+                    let committed = core.stats().committed;
+                    match (&open, marks.peek()) {
+                        (Some(begin), Some(mark)) if committed >= mark.end_at => {
+                            let measured = begin.delta_from(&StatsSnapshot::capture(&core, &mem));
+                            parts.push(result_from(benchmark, label, hardware.clone(), &measured));
+                            open = None;
+                            marks.next();
+                        }
+                        (None, Some(mark)) if mark.begin_at.is_some_and(|b| committed >= b) => {
+                            open = Some(StatsSnapshot::capture(&core, &mem));
+                        }
+                        _ => break,
                     }
-                    (None, Some(mark)) if committed >= mark.begin_at => {
-                        open = Some(StatsSnapshot::capture(&core, &mem));
-                        // `next_mark` stays: its end still needs closing.
-                    }
-                    _ => break,
                 }
+                boundary = boundary_of(open.is_some(), marks.peek());
             }
             if core.drained() {
                 break;
             }
             if now.raw() >= budget {
-                return Err(SimError::Timeout {
-                    benchmark: benchmark.to_owned(),
-                    cycles: budget,
-                });
+                return Err(timeout(budget));
             }
             now += 1;
         }
-        // A truncated trace can drain the stretch before the last mark
-        // closes; close it at whatever committed (combine weighs parts by
-        // their actual instruction counts).
+        // A mark still open at drain closes at whatever committed: the
+        // whole-stretch measurement always ends here, and a truncated
+        // trace can drain a stretch before its last slice ends (combine
+        // weighs parts by their actual instruction counts).
         if let Some(begin) = open {
             let measured = begin.delta_from(&StatsSnapshot::capture(&core, &mem));
             parts.push(result_from(benchmark, label, hardware.clone(), &measured));
         }
-        // Quiesce before handing the system back to functional warm-up:
-        // a fill still in flight would otherwise complete *after* the gap
-        // has moved memory on, installing stale data (and its completion
-        // token could collide with the next stretch's fresh core).
-        while !mem.quiescent() {
-            now += 1;
-            mem.begin_cycle_into(now, &mut completions);
-            if now.raw() >= budget {
-                return Err(SimError::Timeout {
-                    benchmark: benchmark.to_owned(),
-                    cycles: budget,
-                });
+        if i + 1 < plan.stretches.len() {
+            // Quiesce before handing the system back to functional
+            // warm-up: a fill still in flight would otherwise complete
+            // *after* the gap has moved memory on, installing stale data
+            // (and its completion token could collide with the next
+            // stretch's fresh core).
+            while !mem.quiescent() {
+                now += 1;
+                mem.begin_cycle_into(now, &mut completions);
+                if now.raw() >= budget {
+                    return Err(timeout(budget));
+                }
             }
         }
     }

@@ -3,7 +3,8 @@
 //! initial-vs-fixed study (Fig 3).
 
 use crate::artifacts::ArtifactStore;
-use crate::simulator::{run_one, run_one_with, RunResult, SimError, SimOptions};
+use crate::cell::Cell;
+use crate::simulator::{run_one, RunResult, SimError, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::{FidelityConfig, MemoryModel, SystemConfig};
 use microlib_trace::TraceWindow;
@@ -31,27 +32,14 @@ impl FidelityComparison {
 }
 
 /// Runs Fig 1's comparison: the same benchmark + baseline cache under the
-/// detailed and the SimpleScalar-like fidelity models.
+/// detailed and the SimpleScalar-like fidelity models. Both runs draw the
+/// trace (and, per fidelity configuration, the warm state) from `store`,
+/// and repeated comparisons across a battery are served from its memo.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the underlying runs.
 pub fn compare_fidelity(
-    benchmark: &str,
-    window: TraceWindow,
-    seed: u64,
-) -> Result<FidelityComparison, SimError> {
-    compare_fidelity_with(&ArtifactStore::disabled(), benchmark, window, seed)
-}
-
-/// [`compare_fidelity`] with shared artifacts: both runs draw the trace
-/// (and, per fidelity configuration, the warm state) from `store`, and
-/// repeated comparisons across a battery are served from its memo.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying runs.
-pub fn compare_fidelity_with(
     store: &ArtifactStore,
     benchmark: &str,
     window: TraceWindow,
@@ -66,10 +54,16 @@ pub fn compare_fidelity_with(
     detailed_cfg.fidelity = FidelityConfig::microlib();
     let mut idealized_cfg = detailed_cfg.clone();
     idealized_cfg.fidelity = FidelityConfig::simplescalar_like();
-    let (detailed_cfg, idealized_cfg) = (Arc::new(detailed_cfg), Arc::new(idealized_cfg));
-
-    let detailed = run_one_with(store, &detailed_cfg, MechanismKind::Base, benchmark, &opts)?;
-    let idealized = run_one_with(store, &idealized_cfg, MechanismKind::Base, benchmark, &opts)?;
+    let base = |cfg: SystemConfig| {
+        store.run(&Cell::new(
+            Arc::new(cfg),
+            benchmark,
+            opts,
+            MechanismKind::Base,
+        ))
+    };
+    let detailed = base(detailed_cfg)?;
+    let idealized = base(idealized_cfg)?;
     Ok(FidelityComparison {
         benchmark: benchmark.to_owned(),
         detailed_ipc: detailed.perf.ipc(),
@@ -78,8 +72,9 @@ pub fn compare_fidelity_with(
 }
 
 /// One benchmark's speedup under two experimental setups (Fig 2's
-/// reverse-engineering error, reproduced as setup sensitivity — see
-/// DESIGN.md §2 on the substitution for graph-read article numbers).
+/// reverse-engineering error, reproduced as setup sensitivity: the article
+/// numbers come from running the article setup rather than from reading
+/// the articles' graphs).
 #[derive(Clone, Debug)]
 pub struct SetupComparison {
     /// Benchmark name.
@@ -138,7 +133,13 @@ pub fn compare_setups(
     Ok(SetupComparison {
         benchmark: benchmark.to_owned(),
         ours: speedup(&ours_cfg, &our_opts)?,
-        article_setup: article_speedup(mechanism, benchmark, article_window, seed)?,
+        article_setup: article_speedup(
+            &ArtifactStore::disabled(),
+            mechanism,
+            benchmark,
+            article_window,
+            seed,
+        )?,
     })
 }
 
@@ -146,35 +147,15 @@ pub fn compare_setups(
 /// on `benchmark` under the original articles' setup (long arbitrary
 /// window, constant 70-cycle memory). Split out so harnesses that already
 /// hold the standard-setup speedup (from a campaign matrix) don't have to
-/// re-simulate it.
+/// re-simulate it. The Base half of the pair is mechanism-independent, so
+/// across the per-mechanism loops of Fig 2 (and the DBCP study of Fig 3,
+/// which uses the same setup) `store`'s memo computes it once per
+/// benchmark instead of once per mechanism.
 ///
 /// # Errors
 ///
 /// Any [`SimError`] from the two underlying runs.
 pub fn article_speedup(
-    mechanism: MechanismKind,
-    benchmark: &str,
-    article_window: TraceWindow,
-    seed: u64,
-) -> Result<f64, SimError> {
-    article_speedup_with(
-        &ArtifactStore::disabled(),
-        mechanism,
-        benchmark,
-        article_window,
-        seed,
-    )
-}
-
-/// [`article_speedup`] with shared artifacts. The Base half of the pair
-/// is mechanism-independent, so across the per-mechanism loops of Fig 2
-/// (and the DBCP study of Fig 3, which uses the same setup) the store's
-/// memo computes it once per benchmark instead of once per mechanism.
-///
-/// # Errors
-///
-/// Any [`SimError`] from the two underlying runs.
-pub fn article_speedup_with(
     store: &ArtifactStore,
     mechanism: MechanismKind,
     benchmark: &str,
@@ -190,8 +171,9 @@ pub fn article_speedup_with(
         window: article_window,
         ..SimOptions::default()
     };
-    let base = run_one_with(store, &cfg, MechanismKind::Base, benchmark, &opts)?;
-    let with = run_one_with(store, &cfg, mechanism, benchmark, &opts)?;
+    let run = |kind| store.run(&Cell::new(Arc::clone(&cfg), benchmark, opts, kind));
+    let base = run(MechanismKind::Base)?;
+    let with = run(mechanism)?;
     Ok(with.perf.speedup_over(&base.perf))
 }
 
@@ -217,27 +199,14 @@ impl DbcpComparison {
     }
 }
 
-/// Runs Fig 3's initial-vs-fixed DBCP comparison on one benchmark.
+/// Runs Fig 3's initial-vs-fixed DBCP comparison on one benchmark. The
+/// three runs share one trace and warm state through `store`, and the Base
+/// run is memo-shared with any other experiment using the same setup.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the three underlying runs.
 pub fn compare_dbcp_variants(
-    benchmark: &str,
-    window: TraceWindow,
-    seed: u64,
-) -> Result<DbcpComparison, SimError> {
-    compare_dbcp_variants_with(&ArtifactStore::disabled(), benchmark, window, seed)
-}
-
-/// [`compare_dbcp_variants`] with shared artifacts: the three runs share
-/// one trace and warm state, and the Base run is memo-shared with any
-/// other experiment using the same setup.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the three underlying runs.
-pub fn compare_dbcp_variants_with(
     store: &ArtifactStore,
     benchmark: &str,
     window: TraceWindow,
@@ -249,9 +218,10 @@ pub fn compare_dbcp_variants_with(
         window,
         ..SimOptions::default()
     };
-    let base = run_one_with(store, &cfg, MechanismKind::Base, benchmark, &opts)?;
-    let initial = run_one_with(store, &cfg, MechanismKind::DbcpInitial, benchmark, &opts)?;
-    let fixed = run_one_with(store, &cfg, MechanismKind::Dbcp, benchmark, &opts)?;
+    let run = |kind| store.run(&Cell::new(Arc::clone(&cfg), benchmark, opts, kind));
+    let base = run(MechanismKind::Base)?;
+    let initial = run(MechanismKind::DbcpInitial)?;
+    let fixed = run(MechanismKind::Dbcp)?;
     Ok(DbcpComparison {
         benchmark: benchmark.to_owned(),
         initial: initial.perf.speedup_over(&base.perf),
@@ -270,7 +240,8 @@ mod tests {
 
     #[test]
     fn idealized_model_is_at_least_as_fast() {
-        let cmp = compare_fidelity("swim", TraceWindow::new(0, 4_000), 2).unwrap();
+        let store = ArtifactStore::disabled();
+        let cmp = compare_fidelity(&store, "swim", TraceWindow::new(0, 4_000), 2).unwrap();
         assert!(
             cmp.idealized_ipc >= cmp.detailed_ipc * 0.98,
             "removing hazards must not slow the machine: {cmp:?}"
@@ -302,7 +273,8 @@ mod tests {
 
     #[test]
     fn dbcp_variants_both_run() {
-        let cmp = compare_dbcp_variants("gzip", TraceWindow::new(0, 3_000), 6).unwrap();
+        let store = ArtifactStore::disabled();
+        let cmp = compare_dbcp_variants(&store, "gzip", TraceWindow::new(0, 3_000), 6).unwrap();
         assert!(cmp.initial > 0.0 && cmp.fixed > 0.0);
     }
 

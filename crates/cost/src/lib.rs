@@ -5,10 +5,9 @@
 //! **energy** model ([`EnergyModel`]) that multiplies per-access energies
 //! by activity counts measured in simulation.
 //!
-//! Both models are substitutions for the closed tools the paper used (see
-//! DESIGN.md §2): Fig 5 reports *ratios* relative to the base cache
-//! hierarchy, and those ratios are dominated by storage bits and activity,
-//! which these models capture.
+//! Both models are substitutions for the closed tools the paper used: Fig 5
+//! reports *ratios* relative to the base cache hierarchy, and those ratios
+//! are dominated by storage bits and activity, which these models capture.
 //!
 //! # Examples
 //!

@@ -12,7 +12,7 @@
 //! ordering flip that baseline does not have ([`CliffKind::RankFlip`]).
 
 use crate::space::ConfigDelta;
-use microlib::{rank_by_speedup, run_analytic, run_one_with, ArtifactStore, SimError, SimOptions};
+use microlib::{rank_by_speedup, run_analytic, ArtifactStore, Cell, SimError, SimOptions};
 use microlib_mech::MechanismKind;
 use std::sync::Arc;
 
@@ -178,7 +178,7 @@ impl ProbeOutcome {
 /// first) through the detailed simulator and the analytic tier under
 /// `delta` applied to the baseline, and compares the tiers.
 ///
-/// Detailed runs go through [`run_one_with`], so they are memoized,
+/// Detailed runs go through [`ArtifactStore::run`], so they are memoized,
 /// lease-coordinated and fault-aware exactly like campaign cells; the
 /// analytic runs are cheap enough to recompute.
 ///
@@ -205,7 +205,7 @@ pub fn probe(
 
     let mut raw = Vec::with_capacity(mechanisms.len());
     for &mech in mechanisms {
-        let detailed = run_one_with(store, &config, mech, benchmark, &opts)?;
+        let detailed = store.run(&Cell::new(Arc::clone(&config), benchmark, opts, mech))?;
         let analytic = run_analytic(store, &config, mech, benchmark, &opts)?;
         let detailed_cpi = if detailed.perf.instructions == 0 {
             0.0

@@ -7,7 +7,7 @@
 //! ```text
 //! POST /campaign ── parse spec ── admission (bounded queue, 429 on
 //!   overload) ── enqueue cells (interactive queue ahead of batch) ──
-//!   workers run cells via run_one_with (store memo + in-process
+//!   workers run cells via ArtifactStore::run (store memo + in-process
 //!   single-flight + cross-process leases) ── NDJSON lines streamed back
 //!   as cells complete (Connection: close, body ends at EOF)
 //! ```

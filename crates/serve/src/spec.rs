@@ -10,7 +10,7 @@
 //! what makes byte-comparing the two a meaningful end-to-end check.
 
 use crate::json::{escape, Json};
-use microlib::{run_one_with, ArtifactStore, RunResult, SamplingMode, SimOptions};
+use microlib::{ArtifactStore, Cell, RunResult, SamplingMode, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_miner::ConfigDelta;
 use microlib_model::SystemConfig;
@@ -267,13 +267,13 @@ pub fn render_error(
 /// code path behind both the daemon's workers and the client's local
 /// mode.
 pub fn run_cell(store: &ArtifactStore, cell: &CellSpec) -> String {
-    match run_one_with(
-        store,
-        &cell.config,
-        cell.mechanism,
+    let run = Cell::new(
+        Arc::clone(&cell.config),
         cell.benchmark,
-        &cell.opts,
-    ) {
+        cell.opts,
+        cell.mechanism,
+    );
+    match store.run(&run) {
         Ok(result) => render_result(cell.index, &result),
         Err(e) => render_error(cell.index, cell.benchmark, cell.mechanism, &e.to_string()),
     }

@@ -1,11 +1,12 @@
 //! The 26 synthetic SPEC CPU2000 benchmark profiles.
 //!
 //! Each profile is tuned to reproduce the *behaviour class* the paper (and
-//! the literature it cites) attributes to the benchmark — see DESIGN.md §2
-//! for the substitution argument. Every phase mixes a **hot** stream (a
-//! small working set that caches well — the stack/globals/hot structures
-//! real programs spend most accesses on) with the benchmark's
-//! *characteristic* streams. Highlights wired to specific paper anecdotes:
+//! the literature it cites) attributes to the benchmark (the mechanisms
+//! only observe the address/PC/value stream, so matching the behaviour
+//! class exercises the same mechanism code paths). Every phase mixes a
+//! **hot** stream (a small working set that caches well — the
+//! stack/globals/hot structures real programs spend most accesses on) with
+//! the benchmark's *characteristic* streams. Highlights wired to specific paper anecdotes:
 //!
 //! - `ammp`: 96-byte nodes with the next pointer 88 bytes in, so a 64-byte
 //!   line fetch never contains it — CDP "systematically fails to prefetch
@@ -134,7 +135,7 @@ pub const LOW_SENSITIVITY: [&str; 6] = ["wupwise", "bzip2", "crafty", "eon", "pe
 
 /// The five-benchmark selection used in the DBCP article (Table 4; the
 /// exact set is approximated by the five pointer/correlation-friendly
-/// benchmarks — see EXPERIMENTS.md).
+/// benchmarks).
 pub const DBCP_SELECTION: [&str; 5] = ["ammp", "equake", "gzip", "mcf", "twolf"];
 
 /// The twelve-benchmark selection used in the GHB article (Table 4,

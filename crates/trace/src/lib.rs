@@ -5,11 +5,11 @@
 //! SimPoint trace selection.
 //!
 //! The paper simulated 500-million-instruction SimPoint traces of SPEC
-//! CPU2000 Alpha binaries; this crate provides the scaled-down substitution
-//! described in DESIGN.md §2 — 26 behaviour profiles
-//! ([`benchmarks::spec2000`]) turned into concrete memory images and
-//! instruction streams ([`Workload`]), plus the real SimPoint machinery
-//! ([`BbvProfiler`], [`simpoint`]) applied to those streams.
+//! CPU2000 Alpha binaries; this crate provides a scaled-down substitution
+//! — 26 behaviour profiles ([`benchmarks::spec2000`]) turned into concrete
+//! memory images and instruction streams ([`Workload`]), plus the real
+//! SimPoint machinery ([`BbvProfiler`], [`simpoint`]) applied to those
+//! streams.
 //!
 //! # Examples
 //!

@@ -7,10 +7,10 @@
 //! [`Workload`](crate::Workload) turns a profile into a concrete
 //! deterministic instruction stream plus an initialized memory image.
 //!
-//! The profiles stand in for the paper's SPEC CPU2000 Alpha binaries (see
-//! DESIGN.md §2): the mechanisms only observe the address/PC/value stream,
-//! so a profile tuned to a benchmark's published behaviour exercises the
-//! same mechanism code paths the real benchmark would.
+//! The profiles stand in for the paper's SPEC CPU2000 Alpha binaries: the
+//! mechanisms only observe the address/PC/value stream, so a profile tuned
+//! to a benchmark's published behaviour exercises the same mechanism code
+//! paths the real benchmark would.
 
 /// Integer or floating-point suite membership (SPEC CINT2000 / CFP2000).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -8,7 +8,7 @@
 //! ```
 
 use microlib::report::bar;
-use microlib::{rank_mechanisms, run_matrix, ExperimentConfig};
+use microlib::{rank_mechanisms, Campaign, ExperimentConfig};
 use microlib_trace::{benchmarks, TraceWindow};
 
 fn main() -> Result<(), microlib::SimError> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), microlib::SimError> {
         cfg.benchmarks.len(),
         cfg.mechanisms.len()
     );
-    let matrix = run_matrix(&cfg)?;
+    let matrix = Campaign::new(cfg).run()?.into_matrix()?;
 
     let names: Vec<&str> = selection.iter().map(String::as_str).collect();
     println!("\nmean speedup over {:?}:", selection);

@@ -8,13 +8,14 @@
 //! cargo run --release --example custom_mechanism
 //! ```
 
-use microlib::{run_custom, run_one, SimOptions};
+use microlib::{ArtifactStore, Cell, CellMechanism, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::{
     AccessEvent, AccessOutcome, AttachPoint, HardwareBudget, Mechanism, MechanismStats,
     PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable, SystemConfig,
 };
 use microlib_trace::TraceWindow;
+use std::sync::Arc;
 
 /// A toy contribution: next-N-line prefetching with a per-region direction
 /// predictor (forward/backward saturating counters).
@@ -100,29 +101,33 @@ impl Mechanism for DirectionalNextLine {
 }
 
 fn main() -> Result<(), microlib::SimError> {
-    let config = SystemConfig::baseline();
+    let config = Arc::new(SystemConfig::baseline());
     let opts = SimOptions {
         window: TraceWindow::new(80_000, 50_000),
         ..SimOptions::default()
     };
+    // One store for every run: the trace and warm-up of each benchmark are
+    // computed once and shared by all its mechanism cells.
+    let store = ArtifactStore::new();
+    let run = |bench: &str, mech: CellMechanism| {
+        store.run(&Cell::new(Arc::clone(&config), bench, opts, mech))
+    };
 
     println!("comparing the custom mechanism against three published ones on swim + apsi:\n");
     for bench in ["swim", "apsi"] {
-        let base = run_one(&config, MechanismKind::Base, bench, &opts)?;
-        let mine = run_custom(
-            &config,
-            Box::new(DirectionalNextLine::new(2)),
-            MechanismKind::Base, // label slot: custom mechanisms reuse a label
-            bench,
-            &opts,
-        )?;
+        let base = run(bench, MechanismKind::Base.into())?;
+        // Custom mechanisms reuse a label; the variant names the instance.
+        let mine = CellMechanism::custom(MechanismKind::Base, "nextn-dir/2", || {
+            Box::new(DirectionalNextLine::new(2))
+        });
+        let mine = run(bench, mine)?;
         println!("{bench}:");
         println!(
             "  NextN-dir (custom)  speedup {:.3}",
             mine.perf.speedup_over(&base.perf)
         );
         for kind in [MechanismKind::Tp, MechanismKind::Sp, MechanismKind::Ghb] {
-            let r = run_one(&config, kind, bench, &opts)?;
+            let r = run(bench, kind.into())?;
             println!(
                 "  {:18} speedup {:.3}",
                 kind.to_string(),

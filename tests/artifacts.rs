@@ -7,8 +7,8 @@
 
 use microlib::report::text_table;
 use microlib::{
-    run_custom, run_custom_with, run_one, run_one_with, ArtifactStore, Campaign, CampaignReport,
-    ExperimentConfig, RunResult, SamplingMode, SimOptions,
+    run_one, ArtifactStore, Campaign, CampaignReport, Cell, CellMechanism, ExperimentConfig,
+    RunResult, SamplingMode, SimOptions,
 };
 use microlib_mech::{MechanismKind, TagCorrelatingPrefetcher};
 use microlib_model::SystemConfig;
@@ -40,7 +40,9 @@ fn shared_artifacts_match_cold_runs_for_every_mechanism() {
     for bench in ["swim", "mcf"] {
         for kind in &kinds {
             let cold = run_one(&config, *kind, bench, &opts).unwrap();
-            let shared = run_one_with(&store, &shared_config, *kind, bench, &opts).unwrap();
+            let shared = store
+                .run(&Cell::new(Arc::clone(&shared_config), bench, opts, *kind))
+                .unwrap();
             assert_eq!(
                 fingerprint(&cold),
                 fingerprint(&shared),
@@ -58,9 +60,23 @@ fn memo_cache_serves_identical_results() {
     let store = ArtifactStore::new();
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let opts = opts(1_000, 1_000);
-    let first = run_one_with(&store, &config, MechanismKind::Sp, "gzip", &opts).unwrap();
+    let first = store
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "gzip",
+            opts,
+            MechanismKind::Sp,
+        ))
+        .unwrap();
     let misses = store.stats().memo_misses;
-    let second = run_one_with(&store, &config, MechanismKind::Sp, "gzip", &opts).unwrap();
+    let second = store
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "gzip",
+            opts,
+            MechanismKind::Sp,
+        ))
+        .unwrap();
     assert_eq!(fingerprint(&first), fingerprint(&second));
     assert_eq!(
         store.stats().memo_misses,
@@ -70,31 +86,85 @@ fn memo_cache_serves_identical_results() {
     assert_eq!(store.stats().memo_hits, 1);
 }
 
+/// A TCP built with a `capacity`-entry request queue, as a custom cell.
+fn tcp_queue(capacity: usize) -> CellMechanism {
+    CellMechanism::custom(MechanismKind::Tcp, format!("queue={capacity}"), move || {
+        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(capacity))
+    })
+}
+
 #[test]
-fn custom_mechanisms_share_artifacts_without_memo() {
+fn custom_cells_memoize_by_variant() {
     let store = ArtifactStore::new();
-    let config = SystemConfig::baseline_constant_memory();
-    let shared_config = Arc::new(config.clone());
-    let opts = opts(2_000, 1_500);
-    let cold = run_custom(
-        &config,
-        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1)),
-        MechanismKind::Tcp,
-        "swim",
-        &opts,
-    )
-    .unwrap();
-    let shared = run_custom_with(
-        &store,
-        &shared_config,
-        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1)),
-        MechanismKind::Tcp,
-        "swim",
-        &opts,
-    )
-    .unwrap();
-    assert_eq!(fingerprint(&cold), fingerprint(&shared));
-    assert_eq!(store.stats().memo_hits + store.stats().memo_misses, 0);
+    let config = Arc::new(SystemConfig::baseline());
+    let cell = |capacity| {
+        Cell::new(
+            Arc::clone(&config),
+            "mgrid",
+            opts(4_000, 4_000),
+            tcp_queue(capacity),
+        )
+    };
+    let cold = ArtifactStore::disabled().run(&cell(1)).unwrap();
+    let shared = store.run(&cell(1)).unwrap();
+    assert_eq!(
+        fingerprint(&cold),
+        fingerprint(&shared),
+        "cold vs shared store"
+    );
+    assert_eq!(store.stats().memo_misses, 1);
+
+    let again = store.run(&cell(1)).unwrap();
+    assert_eq!(fingerprint(&shared), fingerprint(&again));
+    assert_eq!(
+        store.stats().memo_hits,
+        1,
+        "same (label, variant): memo hit"
+    );
+    assert_eq!(store.stats().memo_misses, 1);
+
+    let q4 = store.run(&cell(4)).unwrap();
+    assert_eq!(
+        store.stats().memo_misses,
+        2,
+        "queue=4 must not alias queue=1"
+    );
+    let q4_cold = ArtifactStore::disabled().run(&cell(4)).unwrap();
+    assert_eq!(fingerprint(&q4), fingerprint(&q4_cold));
+    assert_ne!(
+        fingerprint(&q4),
+        fingerprint(&shared),
+        "the variants differ"
+    );
+}
+
+/// Custom cells always simulate the whole window: SimPoints options give
+/// the full-mode result, cold and through a shared store.
+#[test]
+fn sampled_custom_cell_equals_its_full_run() {
+    let config = Arc::new(SystemConfig::baseline_constant_memory());
+    let sampled = SimOptions {
+        sampling: SamplingMode::SimPoints {
+            interval: 1_000,
+            max_clusters: 3,
+            warmup: 0,
+        },
+        ..opts(2_000, 6_000)
+    };
+    let full = SimOptions {
+        sampling: SamplingMode::Full,
+        ..sampled
+    };
+    for store in [ArtifactStore::disabled(), ArtifactStore::new()] {
+        let run = |opts| {
+            store
+                .run(&Cell::new(Arc::clone(&config), "swim", opts, tcp_queue(1)))
+                .unwrap()
+        };
+        let (a, b) = (run(sampled), run(full));
+        assert!(a.sampling.is_none(), "custom cells are never sampled");
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
 }
 
 fn campaign_config() -> ExperimentConfig {
@@ -174,8 +244,22 @@ fn disabled_store_routes_to_cold_path() {
     let store = ArtifactStore::disabled();
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(500, 500);
-    run_one_with(&store, &config, MechanismKind::Tp, "swim", &o).unwrap();
-    run_one_with(&store, &config, MechanismKind::Tp, "swim", &o).unwrap();
+    store
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Tp,
+        ))
+        .unwrap();
+    store
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Tp,
+        ))
+        .unwrap();
     let stats = store.stats();
     assert_eq!(stats.trace_hits + stats.trace_misses, 0);
     assert_eq!(stats.memo_hits + stats.memo_misses, 0);

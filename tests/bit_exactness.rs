@@ -9,11 +9,11 @@
 //! `cargo test --test bit_exactness -- --nocapture` with
 //! `MICROLIB_RECORD_FINGERPRINTS=1` and paste the printed table.
 
-use microlib::{run_one, RunResult, SimOptions};
+use microlib::{run_one, RunResult, SamplingMode, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_mem::{capture_warm_state, FunctionalMemory, MemorySystem, WarmLog, WarmState};
 use microlib_model::{Encoder, SystemConfig};
-use microlib_trace::{benchmarks, TraceWindow, Workload};
+use microlib_trace::{benchmarks, SamplingPlan, TraceWindow, Workload};
 
 const SEEDS: [u64; 3] = [1, 2, 0xC0FFEE];
 
@@ -293,4 +293,148 @@ fn study_set_stats_match_recorded_golden() {
         record || missing.is_empty(),
         "no recorded digest for: {missing:?}"
     );
+}
+
+/// The sampled-mode scenarios: a SimPoints plan whose slices lay out as
+/// several detailed stretches separated by functional gaps, and a window
+/// too short to cluster (one full-window slice, with a bounded warm-up).
+fn sampled_cases() -> [(&'static str, TraceWindow, SamplingMode); 2] {
+    [
+        (
+            "stretches",
+            TraceWindow::new(1_000, 12_000),
+            SamplingMode::SimPoints {
+                interval: 1_000,
+                max_clusters: 3,
+                warmup: 0,
+            },
+        ),
+        (
+            "single",
+            TraceWindow::new(500, 800),
+            SamplingMode::SimPoints {
+                interval: 10_000,
+                max_clusters: 3,
+                warmup: 200,
+            },
+        ),
+    ]
+}
+
+/// [`digest`] plus the sampling estimate: every simulated point's interval,
+/// weight and CPI, and the recombined CPI, at full float precision.
+fn sampled_digest(r: &RunResult) -> String {
+    let est = r.sampling.as_ref().expect("sampled runs carry an estimate");
+    let points: Vec<String> = est
+        .points
+        .iter()
+        .map(|p| format!("{}:{:?}:{:?}", p.interval, p.weight, p.cpi))
+        .collect();
+    format!("{} est={:?} pts=[{}]", digest(r), est.cpi, points.join(","))
+}
+
+/// Recorded sampled-mode digests: (case, mechanism, seed, digest) for four
+/// mechanisms (no mechanism, an L1 prefetcher, a victim sidecar and a
+/// timekeeping predictor) × every seed in [`SEEDS`] × both
+/// [`sampled_cases`].
+const SAMPLED_GOLDEN: &[(&str, &str, u64, &str)] = &[
+    ("stretches", "Base", 1, "cyc=13283 com=12000 fet=11980 stalls=[0,968,367,2012,11126,0,654] l1d=[3177,1729,662,0,806,1764,822,79,661,0,0,437,0] l1i=[1792,12] l2=[600,74,243,437] mem=[242,27488] mech=[0,0,0,0,0,0,0] est=1.1069151706670926 pts=[3:0.20833333333333334:0.8555776892430279,4:0.2916666666666667:1.0811623246492985,5:0.2916666666666667:1.3570712136409229,9:0.20833333333333334:1.0440881763527055]"),
+    ("stretches", "Base", 2, "cyc=14196 com=12000 fet=11952 stalls=[561,210,312,1110,12282,0,564] l1d=[3232,1727,783,0,757,806,784,84,787,0,0,552,0] l1i=[1787,4] l2=[670,124,222,552] mem=[220,24693] mech=[0,0,0,0,0,0,0] est=1.1830393583216414 pts=[3:0.16666666666666666:1.2675350701402806,6:0.16666666666666666:1.5409181636726548,8:0.16666666666666666:0.818,9:0.16666666666666666:0.992992992992993,10:0.16666666666666666:1.3803803803803805,11:0.16666666666666666:1.0984095427435387]"),
+    ("stretches", "Base", 12648430, "cyc=12786 com=12000 fet=12147 stalls=[238,1008,179,1129,10316,0,137] l1d=[3330,1768,701,0,797,848,340,78,706,0,0,454,0] l1i=[1843,10] l2=[659,58,283,454] mem=[279,27350] mech=[0,0,0,0,0,0,0] est=1.065537916355312 pts=[1:0.16666666666666666:1.464,3:0.16666666666666666:1.1351888667992047,4:0.20833333333333334:0.921765295887663,7:0.20833333333333334:0.933933933933934,9:0.125:1.0199401794616152,10:0.125:0.9459459459459459]"),
+    ("stretches", "Ghb", 1, "cyc=11428 com=12000 fet=12005 stalls=[0,1217,368,1137,8966,0,225] l1d=[3152,1731,662,0,733,876,412,74,653,0,0,436,0] l1i=[1795,12] l2=[590,71,134,436] mem=[280,39366] mech=[3005,1323,363,98,0,0,0] est=0.9523184331150241 pts=[3:0.20833333333333334:0.9482071713147411,4:0.2916666666666667:1.066132264529058,5:0.2916666666666667:1.0908183632734532,9:0.20833333333333334:0.6031904287138584]"),
+    ("stretches", "Ghb", 2, "cyc=9540 com=12000 fet=11910 stalls=[42,221,308,665,8099,0,62] l1d=[3212,1728,771,0,653,391,236,100,763,0,0,539,0] l1i=[1780,4] l2=[639,124,66,539] mem=[256,37580] mech=[3885,1526,607,154,0,0,0] est=0.7950140719946374 pts=[3:0.16666666666666666:1.191044776119403,6:0.16666666666666666:1.087087087087087,8:0.16666666666666666:0.721,9:0.16666666666666666:0.5415415415415415,10:0.16666666666666666:0.7762237762237763,11:0.16666666666666666:0.4531872509960159]"),
+    ("stretches", "Ghb", 12648430, "cyc=12044 com=12000 fet=12106 stalls=[183,1305,186,556,9215,0,32] l1d=[3336,1769,688,0,776,281,218,89,692,0,0,451,0] l1i=[1837,10] l2=[640,55,132,451] mem=[328,43429] mech=[3884,1388,412,128,0,0,0] est=1.0036906852725453 pts=[1:0.16666666666666666:1.659,3:0.16666666666666666:1.166003976143141,4:0.20833333333333334:1.0080482897384306,7:0.20833333333333334:0.795,9:0.125:0.6856287425149701,10:0.125:0.5721442885771543]"),
+    ("stretches", "Vc", 1, "cyc=13014 com=12000 fet=11980 stalls=[0,950,369,1841,10852,0,590] l1d=[3181,1729,517,181,706,1601,744,87,518,0,0,0,0] l1i=[1792,12] l2=[520,12,243,354] mem=[245,27764] mech=[3005,549,0,0,181,2823,549] est=1.084465415237214 pts=[3:0.20833333333333334:0.8346613545816733,4:0.2916666666666667:1.0711422845691383,5:0.2916666666666667:1.3079237713139418,9:0.20833333333333334:1.0400801603206413]"),
+    ("stretches", "Vc", 2, "cyc=13835 com=12000 fet=11964 stalls=[561,227,304,893,11872,0,577] l1d=[3240,1726,492,410,520,679,733,58,500,0,0,0,0] l1i=[1788,4] l2=[484,14,220,398] mem=[222,24749] mech=[2101,828,0,0,410,1691,828] est=1.1528902457626897 pts=[3:0.16666666666666666:1.184924623115578,6:0.16666666666666666:1.4945054945054945,8:0.16666666666666666:0.818,9:0.16666666666666666:0.9540918163672655,10:0.16666666666666666:1.3614457831325302,11:0.16666666666666666:1.1043737574552683]"),
+    ("stretches", "Vc", 12648430, "cyc=12638 com=12000 fet=12142 stalls=[238,1056,179,966,10122,0,123] l1d=[3321,1767,597,136,726,711,308,70,594,0,0,0,0] l1i=[1843,10] l2=[573,30,277,393] mem=[279,27655] mech=[2170,547,0,0,136,2034,547] est=1.0531683248899857 pts=[1:0.16666666666666666:1.488,3:0.16666666666666666:1.1351888667992047,4:0.20833333333333334:0.8786359077231695,7:0.20833333333333334:0.919436052366566,9:0.125:0.9890329012961117,10:0.125:0.9419419419419419]"),
+    ("stretches", "Tk", 1, "cyc=13283 com=12000 fet=11980 stalls=[0,968,367,2012,11126,0,654] l1d=[3177,1729,662,0,806,1764,822,79,661,0,0,437,0] l1i=[1792,12] l2=[600,74,243,437] mem=[242,27488] mech=[277,511,0,0,0,0,0] est=1.1069151706670926 pts=[3:0.20833333333333334:0.8555776892430279,4:0.2916666666666667:1.0811623246492985,5:0.2916666666666667:1.3570712136409229,9:0.20833333333333334:1.0440881763527055]"),
+    ("stretches", "Tk", 2, "cyc=14196 com=12000 fet=11952 stalls=[561,210,312,1110,12282,0,564] l1d=[3232,1727,783,0,757,806,784,84,787,2,0,552,2] l1i=[1787,4] l2=[670,124,222,552] mem=[220,24693] mech=[264,707,2,0,0,0,0] est=1.1830393583216414 pts=[3:0.16666666666666666:1.2675350701402806,6:0.16666666666666666:1.5409181636726548,8:0.16666666666666666:0.818,9:0.16666666666666666:0.992992992992993,10:0.16666666666666666:1.3803803803803805,11:0.16666666666666666:1.0984095427435387]"),
+    ("stretches", "Tk", 12648430, "cyc=12786 com=12000 fet=12147 stalls=[238,1008,179,1129,10316,0,137] l1d=[3330,1768,701,0,797,848,340,78,706,0,0,454,0] l1i=[1843,10] l2=[659,58,283,454] mem=[279,27350] mech=[342,523,0,0,0,0,0] est=1.065537916355312 pts=[1:0.16666666666666666:1.464,3:0.16666666666666666:1.1351888667992047,4:0.20833333333333334:0.921765295887663,7:0.20833333333333334:0.933933933933934,9:0.125:1.0199401794616152,10:0.125:0.9459459459459459]"),
+    ("single", "Base", 1, "cyc=2142 com=800 fet=800 stalls=[0,1612,19,33,254,0,0] l1d=[222,124,70,0,72,17,15,1,69,0,0,33,0] l1i=[125,38] l2=[100,8,58,33] mem=[59,4564] mech=[0,0,0,0,0,0,0] est=2.6775 pts=[0:1.0:2.6775]"),
+    ("single", "Base", 2, "cyc=1761 com=800 fet=800 stalls=[0,968,8,46,489,0,3] l1d=[222,120,101,0,72,22,27,0,101,0,0,44,0] l1i=[120,26] l2=[103,24,45,44] mem=[45,3692] mech=[0,0,0,0,0,0,0] est=2.20125 pts=[0:1.0:2.20125]"),
+    ("single", "Base", 12648430, "cyc=2116 com=800 fet=800 stalls=[0,1725,3,16,208,0,0] l1d=[226,113,53,0,62,1,15,0,52,0,0,26,0] l1i=[123,32] l2=[80,4,52,26] mem=[52,4135] mech=[0,0,0,0,0,0,0] est=2.645 pts=[0:1.0:2.645]"),
+    ("single", "Ghb", 1, "cyc=2142 com=800 fet=800 stalls=[0,1612,19,33,254,0,0] l1d=[222,124,70,0,72,17,15,1,69,0,0,33,0] l1i=[125,38] l2=[100,8,57,33] mem=[63,4834] mech=[211,312,8,1,0,0,0] est=2.6775 pts=[0:1.0:2.6775]"),
+    ("single", "Ghb", 2, "cyc=1761 com=800 fet=800 stalls=[0,982,7,46,489,0,3] l1d=[223,120,101,0,72,22,27,0,101,0,0,44,0] l1i=[120,26] l2=[103,24,45,44] mem=[49,4188] mech=[290,354,4,0,0,0,0] est=2.20125 pts=[0:1.0:2.20125]"),
+    ("single", "Ghb", 12648430, "cyc=2116 com=800 fet=800 stalls=[0,1725,3,16,208,0,0] l1d=[226,113,53,0,62,1,15,0,52,0,0,26,0] l1i=[123,32] l2=[80,4,52,26] mem=[52,4135] mech=[192,264,0,0,0,0,0] est=2.645 pts=[0:1.0:2.645]"),
+    ("single", "Vc", 1, "cyc=2254 com=800 fet=800 stalls=[0,1642,11,12,267,0,0] l1d=[230,124,51,24,58,2,10,0,51,0,0,0,0] l1i=[125,38] l2=[86,3,58,13] mem=[59,4763] mech=[160,54,0,0,24,136,54] est=2.8175 pts=[0:1.0:2.8175]"),
+    ("single", "Vc", 2, "cyc=1687 com=800 fet=800 stalls=[0,889,8,15,480,0,0] l1d=[222,120,50,61,39,1,12,2,50,0,0,0,0] l1i=[120,26] l2=[73,3,45,17] mem=[45,4066] mech=[175,99,0,0,61,114,99] est=2.10875 pts=[0:1.0:2.10875]"),
+    ("single", "Vc", 12648430, "cyc=2121 com=800 fet=800 stalls=[0,1732,3,16,208,0,0] l1d=[226,113,49,6,58,1,15,0,48,0,0,0,0] l1i=[123,32] l2=[76,4,52,11] mem=[52,4179] mech=[138,33,0,0,6,132,33] est=2.65125 pts=[0:1.0:2.65125]"),
+    ("single", "Tk", 1, "cyc=2142 com=800 fet=800 stalls=[0,1612,19,33,254,0,0] l1d=[222,124,70,0,72,17,15,1,69,0,0,33,0] l1i=[125,38] l2=[100,8,58,33] mem=[59,4564] mech=[15,48,0,0,0,0,0] est=2.6775 pts=[0:1.0:2.6775]"),
+    ("single", "Tk", 2, "cyc=1761 com=800 fet=800 stalls=[0,968,8,46,489,0,3] l1d=[222,120,101,0,72,22,27,0,101,0,0,44,0] l1i=[120,26] l2=[103,24,45,44] mem=[45,3692] mech=[8,89,0,0,0,0,0] est=2.20125 pts=[0:1.0:2.20125]"),
+    ("single", "Tk", 12648430, "cyc=2116 com=800 fet=800 stalls=[0,1725,3,16,208,0,0] l1d=[226,113,53,0,62,1,15,0,52,0,0,26,0] l1i=[123,32] l2=[80,4,52,26] mem=[52,4135] mech=[13,31,0,0,0,0,0] est=2.645 pts=[0:1.0:2.645]"),
+];
+
+#[test]
+fn sampled_stats_match_recorded_golden() {
+    let record = std::env::var("MICROLIB_RECORD_FINGERPRINTS").is_ok();
+    let mut missing = Vec::new();
+    for (case, window, sampling) in sampled_cases() {
+        for kind in [
+            MechanismKind::Base,
+            MechanismKind::Ghb,
+            MechanismKind::Vc,
+            MechanismKind::Tk,
+        ] {
+            for seed in SEEDS {
+                let opts = SimOptions {
+                    seed,
+                    window,
+                    sampling,
+                    ..SimOptions::default()
+                };
+                let r =
+                    run_one(&SystemConfig::baseline(), kind, "swim", &opts).expect("run succeeds");
+                let got = sampled_digest(&r);
+                let name = format!("{kind:?}");
+                if record {
+                    println!("    (\"{case}\", \"{name}\", {seed}, \"{got}\"),");
+                    continue;
+                }
+                match SAMPLED_GOLDEN
+                    .iter()
+                    .find(|(c, k, s, _)| *c == case && *k == name && *s == seed)
+                    .map(|(_, _, _, want)| *want)
+                {
+                    Some(want) => assert_eq!(got, want, "{case} {name} seed {seed} drifted"),
+                    None => missing.push(format!("{case}/{name}/{seed}")),
+                }
+            }
+        }
+    }
+    assert!(
+        record || missing.is_empty(),
+        "no recorded digest for: {missing:?}"
+    );
+}
+
+/// The sampled scenarios cover what they claim: the first plan lays out
+/// at least two detailed stretches with a functional gap between them
+/// (slices further apart than the driver's 1 024-instruction ramp plus
+/// 512-instruction tail), and the second degenerates to one full-window
+/// slice.
+#[test]
+fn sampled_cases_cover_gaps_and_the_degenerate_plan() {
+    for seed in SEEDS {
+        let [(_, window, stretches), (_, short, single)] = sampled_cases();
+        let plan = |window: TraceWindow, mode: SamplingMode| {
+            let SamplingMode::SimPoints {
+                interval,
+                max_clusters,
+                ..
+            } = mode
+            else {
+                unreachable!("sampled cases sample")
+            };
+            let workload = Workload::new(benchmarks::by_name("swim").unwrap(), seed);
+            SamplingPlan::profile(workload.stream(), window, interval, max_clusters, seed)
+        };
+        let windows: Vec<TraceWindow> = plan(window, stretches).windows().map(|(w, _)| w).collect();
+        let gaps = windows
+            .windows(2)
+            .filter(|pair| pair[1].skip > pair[0].end() + 1_024 + 512)
+            .count();
+        assert!(gaps >= 1, "seed {seed}: no gap between slices {windows:?}");
+        let single: Vec<TraceWindow> = plan(short, single).windows().map(|(w, _)| w).collect();
+        assert_eq!(single, vec![short], "seed {seed}");
+    }
 }

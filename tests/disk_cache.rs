@@ -6,7 +6,7 @@
 //! output.
 
 use microlib::{
-    run_one_with, ArtifactStore, Campaign, ExperimentConfig, RunResult, SamplingMode, SimOptions,
+    ArtifactStore, Campaign, Cell, ExperimentConfig, RunResult, SamplingMode, SimOptions,
 };
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
@@ -57,27 +57,41 @@ fn memo_survives_across_stores() {
     let o = opts(TraceWindow::new(1_000, 2_000));
 
     let first = store_at(&dir);
-    let cold = run_one_with(&first, &config, MechanismKind::Ghb, "swim", &o).unwrap();
+    let cold = first
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Ghb,
+        ))
+        .unwrap();
     assert_eq!(first.stats().memo_disk_hits, 0);
 
     // A fresh store (≈ a new process) serves the cell from disk without
     // simulating, bit-identically.
     let second = store_at(&dir);
-    let warm = run_one_with(&second, &config, MechanismKind::Ghb, "swim", &o).unwrap();
+    let warm = second
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Ghb,
+        ))
+        .unwrap();
     let stats = second.stats();
     assert_eq!(stats.memo_disk_hits, 1, "served from disk");
     assert_eq!(stats.cells_recomputed(), 0, "nothing simulated");
     assert_same_result(&cold, &warm);
 
     // And matches a completely cold, cache-free run.
-    let reference = run_one_with(
-        &ArtifactStore::new(),
-        &config,
-        MechanismKind::Ghb,
-        "swim",
-        &o,
-    )
-    .unwrap();
+    let reference = ArtifactStore::new()
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Ghb,
+        ))
+        .unwrap();
     assert_same_result(&reference, &warm);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -132,7 +146,14 @@ fn config_tweak_invalidates_only_the_cells_it_touches() {
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(500, 1_500));
     let first = store_at(&dir);
-    run_one_with(&first, &config, MechanismKind::Tp, "gzip", &o).unwrap();
+    first
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "gzip",
+            o,
+            MechanismKind::Tp,
+        ))
+        .unwrap();
 
     let mut tweaked = SystemConfig::baseline_constant_memory();
     tweaked.l1d.mshr_entries = 4;
@@ -141,8 +162,22 @@ fn config_tweak_invalidates_only_the_cells_it_touches() {
     let second = store_at(&dir);
     // Unchanged config: disk hit. Tweaked config: a different content
     // key, so the cell recomputes — no stale entry can ever be served.
-    let unchanged = run_one_with(&second, &config, MechanismKind::Tp, "gzip", &o).unwrap();
-    let changed = run_one_with(&second, &tweaked, MechanismKind::Tp, "gzip", &o).unwrap();
+    let unchanged = second
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "gzip",
+            o,
+            MechanismKind::Tp,
+        ))
+        .unwrap();
+    let changed = second
+        .run(&Cell::new(
+            Arc::clone(&tweaked),
+            "gzip",
+            o,
+            MechanismKind::Tp,
+        ))
+        .unwrap();
     let stats = second.stats();
     assert_eq!(stats.memo_disk_hits, 1);
     assert_eq!(stats.cells_recomputed(), 1);
@@ -159,8 +194,14 @@ fn corruption_recovers(tag: &str, mutate: impl Fn(&PathBuf)) {
     let dir = tmp_dir(tag);
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(1_000, 2_000));
-    let reference =
-        run_one_with(&store_at(&dir), &config, MechanismKind::Markov, "mcf", &o).unwrap();
+    let reference = store_at(&dir)
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "mcf",
+            o,
+            MechanismKind::Markov,
+        ))
+        .unwrap();
 
     let mut corrupted = 0usize;
     for entry in walk(&dir) {
@@ -170,7 +211,14 @@ fn corruption_recovers(tag: &str, mutate: impl Fn(&PathBuf)) {
     assert!(corrupted > 0, "the run must have written cache entries");
 
     let recovering = store_at(&dir);
-    let recomputed = run_one_with(&recovering, &config, MechanismKind::Markov, "mcf", &o).unwrap();
+    let recomputed = recovering
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "mcf",
+            o,
+            MechanismKind::Markov,
+        ))
+        .unwrap();
     let stats = recovering.stats();
     assert_eq!(stats.memo_disk_hits, 0, "corrupt entries are never trusted");
     assert_eq!(stats.cells_recomputed(), 1);
@@ -178,7 +226,14 @@ fn corruption_recovers(tag: &str, mutate: impl Fn(&PathBuf)) {
 
     // The recompute repaired the cache: a third store hits again.
     let repaired = store_at(&dir);
-    let again = run_one_with(&repaired, &config, MechanismKind::Markov, "mcf", &o).unwrap();
+    let again = repaired
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "mcf",
+            o,
+            MechanismKind::Markov,
+        ))
+        .unwrap();
     assert_eq!(repaired.stats().memo_disk_hits, 1);
     assert_same_result(&reference, &again);
     let _ = fs::remove_dir_all(&dir);
@@ -253,14 +308,28 @@ fn sampled_cells_and_plans_persist() {
     };
 
     let first = store_at(&dir);
-    let cold = run_one_with(&first, &config, MechanismKind::Ghb, "gcc", &o).unwrap();
+    let cold = first
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "gcc",
+            o,
+            MechanismKind::Ghb,
+        ))
+        .unwrap();
     assert!(
         cold.sampling.is_some(),
         "a sampled run carries its estimate"
     );
 
     let second = store_at(&dir);
-    let warm = run_one_with(&second, &config, MechanismKind::Ghb, "gcc", &o).unwrap();
+    let warm = second
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "gcc",
+            o,
+            MechanismKind::Ghb,
+        ))
+        .unwrap();
     let stats = second.stats();
     assert_eq!(stats.memo_disk_hits, 1);
     assert_same_result(&cold, &warm);
@@ -268,7 +337,9 @@ fn sampled_cells_and_plans_persist() {
     // A different mechanism in the same (benchmark, window) reuses the
     // persisted sampling plan instead of re-profiling.
     let third = store_at(&dir);
-    run_one_with(&third, &config, MechanismKind::Tp, "gcc", &o).unwrap();
+    third
+        .run(&Cell::new(Arc::clone(&config), "gcc", o, MechanismKind::Tp))
+        .unwrap();
     let stats = third.stats();
     assert_eq!(stats.plan_disk_hits, 1, "plan served from disk");
     assert_eq!(stats.plan_misses, 0, "no re-profiling");
@@ -326,17 +397,24 @@ fn disabled_and_memory_only_stores_touch_no_disk() {
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(0, 1_000));
     // Memory-only store: no directory may appear.
-    run_one_with(
-        &ArtifactStore::new(),
-        &config,
-        MechanismKind::Base,
-        "swim",
-        &o,
-    )
-    .unwrap();
+    ArtifactStore::new()
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Base,
+        ))
+        .unwrap();
     // A disabled store ignores with_disk_cache entirely.
     let disabled = ArtifactStore::disabled().with_disk_cache(&dir);
     assert!(disabled.disk_cache().is_none());
-    run_one_with(&disabled, &config, MechanismKind::Base, "swim", &o).unwrap();
+    disabled
+        .run(&Cell::new(
+            Arc::clone(&config),
+            "swim",
+            o,
+            MechanismKind::Base,
+        ))
+        .unwrap();
     assert!(!dir.exists(), "no cache directory was created");
 }

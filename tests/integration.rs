@@ -5,11 +5,13 @@
 //! experiment binaries in `crates/bench` are the full-scale runs.
 
 use microlib::{
-    run_custom, run_matrix, run_one, ExperimentConfig, SamplingMode, SimError, SimOptions,
+    run_one, ArtifactStore, Campaign, Cell, CellMechanism, ExperimentConfig, SamplingMode,
+    SimError, SimOptions,
 };
 use microlib_mech::{DbcpVariant, DeadBlockPrefetcher, MechanismKind};
 use microlib_model::{FidelityConfig, SystemConfig};
 use microlib_trace::{benchmarks, TraceWindow};
+use std::sync::Arc;
 
 fn quick(skip: u64, simulate: u64) -> SimOptions {
     SimOptions {
@@ -181,7 +183,7 @@ fn matrix_base_column_is_unity() {
         threads: 0,
         sampling: SamplingMode::Full,
     };
-    let m = run_matrix(&cfg).unwrap();
+    let m = Campaign::new(cfg).run().unwrap().into_matrix().unwrap();
     for b in ["swim", "gzip"] {
         assert!((m.speedup(b, MechanismKind::Base) - 1.0).abs() < 1e-12);
         for k in [MechanismKind::Tp, MechanismKind::Sp] {
@@ -233,14 +235,12 @@ fn dbcp_variants_differ() {
     let cfg = SystemConfig::baseline_constant_memory();
     let base = run_one(&cfg, MechanismKind::Base, "facerec", &opts).unwrap();
     let fixed = run_one(&cfg, MechanismKind::Dbcp, "facerec", &opts).unwrap();
-    let initial = run_custom(
-        &cfg,
-        Box::new(DeadBlockPrefetcher::new(DbcpVariant::Initial)),
-        MechanismKind::DbcpInitial,
-        "facerec",
-        &opts,
-    )
-    .unwrap();
+    let initial = CellMechanism::custom(MechanismKind::DbcpInitial, "initial", || {
+        Box::new(DeadBlockPrefetcher::new(DbcpVariant::Initial))
+    });
+    let initial = ArtifactStore::disabled()
+        .run(&Cell::new(Arc::new(cfg), "facerec", opts, initial))
+        .unwrap();
     // Both run clean; the fixed variant must not be worse than the buggy
     // one (Fig 3's direction).
     let sf = fixed.perf.speedup_over(&base.perf);

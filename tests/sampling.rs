@@ -5,7 +5,7 @@
 //! guarantees (thread count, artifact store on/off).
 
 use microlib::{
-    run_one, run_one_with, ArtifactStore, Campaign, ExperimentConfig, SamplingMode, SimOptions,
+    run_one, ArtifactStore, Campaign, Cell, ExperimentConfig, SamplingMode, SimOptions,
 };
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
@@ -52,9 +52,11 @@ fn sampled_cpi_within_reported_bound_for_every_mechanism() {
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let store = ArtifactStore::new();
     for kind in MechanismKind::study_set() {
-        let full = run_one_with(&store, &config, kind, BENCH, &full_opts())
+        let full = store
+            .run(&Cell::new(Arc::clone(&config), BENCH, full_opts(), kind))
             .unwrap_or_else(|e| panic!("{kind:?} full: {e}"));
-        let sampled = run_one_with(&store, &config, kind, BENCH, &sampled_opts())
+        let sampled = store
+            .run(&Cell::new(Arc::clone(&config), BENCH, sampled_opts(), kind))
             .unwrap_or_else(|e| panic!("{kind:?} sampled: {e}"));
 
         assert_eq!(sampled.perf.instructions, window().simulate, "{kind:?}");
