@@ -1,7 +1,7 @@
 //! Criterion throughput benches for the simulation substrates: cache
 //! array, MSHR file, SDRAM controller, workload generation and the
 //! end-to-end simulator. These measure *simulator* performance (how fast
-//! the reproduction runs), complementing the experiment binaries that
+//! the reproduction runs), complementing the `run_all` experiments that
 //! regenerate the paper's figures.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};

@@ -2,16 +2,21 @@
 //! campaign engine and prints the Fig 4 ranking against the paper's
 //! target ranks, plus per-benchmark anecdotes and base-column vitals.
 
-use microlib::{rank_mechanisms, ExperimentConfig};
+use microlib::{rank_mechanisms, ExperimentConfig, Settings};
+use microlib_bench::Context;
 use microlib_mech::MechanismKind;
 use microlib_trace::{benchmarks, TraceWindow};
 use std::time::Instant;
 
 fn main() {
+    let settings = Settings::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let t = Instant::now();
     let mut cfg = ExperimentConfig::paper_baseline(TraceWindow::new(150_000, 100_000));
-    cfg.threads = microlib_bench::std_threads();
-    let m = microlib_bench::sweep(&cfg);
+    cfg.threads = settings.threads;
+    let m = Context::with_settings(settings).sweep(&cfg);
     eprintln!("matrix in {:?}", t.elapsed());
     let names: Vec<&str> = cfg.benchmarks.iter().map(String::as_str).collect();
     println!("\n== Fig 4: mean speedups (paper rank target in parens) ==");

@@ -26,8 +26,8 @@
 //! prefix — `--only fig03` runs `fig03_dbcp_fix`), so a single figure can
 //! be (re)produced without the whole battery.
 //!
-//! `--sampled` runs every sweep SimPoint-sampled (sets `MICROLIB_SAMPLED=1`
-//! unless an explicit spec is already in the environment) and writes to
+//! `--sampled` runs every sweep SimPoint-sampled (the default plan for the
+//! window unless `MICROLIB_SAMPLED` gives an explicit one) and writes to
 //! `results-sampled/` so the committed full-mode `results/` stay
 //! untouched. The `ablation_sampling` experiment — which exists to compare
 //! sampled against full simulation — is excluded from the default sampled
@@ -98,18 +98,22 @@
 //! exiting nonzero on any drift — CI runs this on every PR so a silent
 //! CPI change cannot land unnoticed.
 //!
-//! # Exit status
+//! # Settings and exit status
+//!
+//! Every process parses the `MICROLIB_*` variables once
+//! ([`microlib::Settings`]), applies its flags on top and prints the
+//! result as one `settings: …` line on stderr.
 //!
 //! `0` only if every selected experiment ran cleanly (and, with
 //! `--verify-golden`, matched the snapshot). Any failed experiment — or
 //! any failed campaign cell inside one — is summarized per cell on stderr
 //! and the process exits `1`. Usage errors — including a malformed
-//! `MICROLIB_*` override — exit `2`.
+//! `MICROLIB_*` variable, in the coordinator, a worker or the miner —
+//! exit `2`.
 
-use microlib::{LeaseManager, SimOptions};
-use microlib_bench::{check_env, env_u64, experiments, std_threads, Context};
-use microlib_miner::{mine, perturb_from_env, reprobe_cell, CellOutcome, MineConfig};
-use microlib_trace::TraceWindow;
+use microlib::{CacheDir, LeaseManager, SamplingMode, Settings, ShardSpec, SimOptions};
+use microlib_bench::{experiments, Context};
+use microlib_miner::{mine, reprobe_cell, CellOutcome, MineConfig};
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -148,13 +152,8 @@ fn resolve(name: &str) -> Result<&'static str, String> {
 struct Cli {
     selected: Vec<&'static str>,
     sampled: bool,
-    /// `None` = memory-only (`--no-cache`); `Some(dir)` = disk tier at
-    /// `dir`.
-    cache_dir: Option<String>,
     /// Golden snapshot directory to verify against, if requested.
     verify_golden: Option<String>,
-    /// `--shard i/N`: run as (or like) one worker of an N-way battery.
-    shard: Option<String>,
     /// `--workers N`: run as the coordinator of N worker processes.
     workers: Option<u32>,
     /// Output directory override (the coordinator points each worker at
@@ -172,16 +171,11 @@ struct Cli {
     mine_cell: Option<String>,
 }
 
-/// A numeric `MICROLIB_*` override; a malformed value is a usage error.
-fn knob(name: &str, default: u64) -> u64 {
-    env_u64(name, default).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    })
-}
-
-/// Parses the command line (see the module docs for the grammar).
-fn selection() -> Result<Cli, String> {
+/// Parses the settings and the command line (see the module docs for the
+/// grammar), applies the flags on top of the settings and arms the fault
+/// harness they describe.
+fn parse() -> Result<(Cli, Settings), String> {
+    let mut settings = Settings::from_env()?;
     let mut args = std::env::args().skip(1);
     let mut selected: Vec<&'static str> = Vec::new();
     let mut explicit = false;
@@ -189,7 +183,6 @@ fn selection() -> Result<Cli, String> {
     let mut no_cache = false;
     let mut cache_dir: Option<String> = None;
     let mut verify_golden: Option<String> = None;
-    let mut shard: Option<String> = None;
     let mut workers: Option<u32> = None;
     let mut out_dir: Option<String> = None;
     let mut mine = false;
@@ -209,8 +202,7 @@ fn selection() -> Result<Cli, String> {
             }
             "--shard" => {
                 let spec = args.next().ok_or("--shard needs i/N")?;
-                microlib::ShardSpec::parse(&spec)?;
-                shard = Some(spec);
+                settings.shard = Some(ShardSpec::parse(&spec)?);
             }
             "--workers" => {
                 let n = args.next().ok_or("--workers needs a count")?;
@@ -278,7 +270,8 @@ fn selection() -> Result<Cli, String> {
             .filter(|n| !(sampled && *n == "ablation_sampling"))
             .collect();
     }
-    if shard.is_some() && workers.is_some() {
+    let shard = settings.shard.is_some();
+    if shard && workers.is_some() {
         return Err("--shard and --workers are mutually exclusive \
                     (the coordinator assigns shards itself)"
             .to_owned());
@@ -301,41 +294,51 @@ fn selection() -> Result<Cli, String> {
                     workers' reports; export from a single run)"
             .to_owned());
     }
-    if mine_cell.is_some() && (workers.is_some() || shard.is_some()) {
+    if mine_cell.is_some() && (workers.is_some() || shard) {
         return Err("--mine-cell re-probes one cell and does not shard".to_owned());
     }
-    // Cache resolution: --no-cache wins; then --cache-dir; then the
-    // environment (including its own off switch); then the default dir.
-    let cache_dir = if no_cache {
-        None
-    } else if cache_dir.is_some() {
-        cache_dir
-    } else if std::env::var("MICROLIB_CACHE_DIR").is_err() {
-        Some(".microlib-cache".to_owned())
-    } else {
-        // Set in the environment: let the library's parse (shared with
-        // every other binary) decide whether the value means "off".
-        microlib::ArtifactStore::cache_dir_from_env().map(|p| p.to_string_lossy().into_owned())
-    };
-    if cache_dir.is_none() && (shard.is_some() || workers.is_some()) {
+    // Cache resolution: --no-cache wins; then --cache-dir; then
+    // MICROLIB_CACHE_DIR (including its own off switch); then the
+    // default directory.
+    if no_cache {
+        settings.cache_dir = CacheDir::Off;
+    } else if let Some(dir) = cache_dir {
+        settings.cache_dir = CacheDir::At(dir.into());
+    } else if settings.cache_dir == CacheDir::Unset {
+        settings.cache_dir = CacheDir::At(".microlib-cache".into());
+    }
+    if settings.cache_dir.path().is_none() && (shard || workers.is_some()) {
         return Err("--shard/--workers coordinate through lease files in the \
                     cache directory and cannot run with the cache off"
             .to_owned());
     }
-    Ok(Cli {
+    // `--sampled` must actually sample: a disabling MICROLIB_SAMPLED (a
+    // stale `=0` in the shell) would otherwise run the whole battery in
+    // full mode while labeling the output sampled. An explicit plan wins.
+    if sampled && !settings.sampling.is_sampled() {
+        settings.sampling = SamplingMode::simpoints_for(settings.window());
+    }
+    let mine = mine || mine_cell.is_some();
+    if mine {
+        // Mining probes dozens of cells x mechanisms x two tiers, so it
+        // defaults to a much smaller window than the battery.
+        settings.skip.get_or_insert(2_000);
+        settings.sim.get_or_insert(4_000);
+    }
+    microlib::fault::arm_from(&settings)?;
+    let cli = Cli {
         selected,
         sampled,
-        cache_dir,
         verify_golden,
-        shard,
         workers,
         out_dir,
-        mine: mine || mine_cell.is_some(),
+        mine,
         mine_budget,
         mine_bound,
         mine_export,
         mine_cell,
-    })
+    };
+    Ok((cli, settings))
 }
 
 /// Byte-compares every selected results file against the golden snapshot.
@@ -397,7 +400,7 @@ struct Worker {
 fn spawn_worker(
     exe: &Path,
     cli: &Cli,
-    cache_dir: &str,
+    cache_dir: &Path,
     worker: &Worker,
     workers: u32,
     threads: u32,
@@ -454,12 +457,12 @@ fn print_log_tail(worker: &Worker) {
 
 /// The `--workers N` coordinator (see the module docs): spawns, monitors,
 /// respawns and merges. Returns the process exit code.
-fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
-    let cache_dir = cli
+fn coordinate(cli: &Cli, settings: &Settings, worker_count: u32) -> i32 {
+    let cache_dir = settings
         .cache_dir
-        .clone()
-        .expect("selection() rejects --workers without a cache dir");
-    let cache_root = PathBuf::from(&cache_dir);
+        .path()
+        .expect("parse() rejects --workers without a cache dir")
+        .to_path_buf();
     let out_dir = cli.out_dir.clone().unwrap_or_else(|| default_out_dir(cli));
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
@@ -468,21 +471,23 @@ fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
             return 2;
         }
     };
-    let worker_root = cache_root.join("workers");
+    let worker_root = cache_dir.join("workers");
     if fs::create_dir_all(&worker_root).is_err() {
         eprintln!("cannot create {}", worker_root.display());
         return 2;
     }
-    let timeout = Duration::from_millis(knob("MICROLIB_LEASE_TIMEOUT_MS", 30_000));
-    let backoff_ms = knob("MICROLIB_RETRY_BACKOFF_MS", 100);
-    let max_respawns = knob("MICROLIB_WORKER_RESPAWNS", 3) as u32;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let total_threads = knob("MICROLIB_THREADS", cores) as u32;
+    let timeout = settings.lease_timeout;
+    let max_respawns = settings.worker_respawns;
+    let total_threads = match settings.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    } as u32;
     let worker_threads = (total_threads / worker_count).max(1);
 
     println!(
         ">>> coordinator: {worker_count} workers x {worker_threads} thread(s), \
-         cache {cache_dir}, lease timeout {timeout:?}"
+         cache {}, lease timeout {timeout:?}",
+        cache_dir.display()
     );
     let battery = Instant::now();
     let mut workers: Vec<Worker> = (0..worker_count)
@@ -562,9 +567,9 @@ fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
                                     w.respawns,
                                 );
                                 if w.respawns < max_respawns {
-                                    let delay = Duration::from_millis(
-                                        backoff_ms.saturating_mul(1 << w.respawns.min(16)),
-                                    );
+                                    let delay = settings
+                                        .retry_backoff
+                                        .saturating_mul(1 << w.respawns.min(16));
                                     w.respawn_at = Some(Instant::now() + delay);
                                 } else {
                                     w.outcome = WorkerOutcome::Dead;
@@ -604,7 +609,7 @@ fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
         }
         if Instant::now() >= next_stale_scan {
             next_stale_scan = Instant::now() + kill_after.max(Duration::from_millis(50));
-            for (pid, age) in LeaseManager::stale_owners(&cache_root, kill_after) {
+            for (pid, age) in LeaseManager::stale_owners(&cache_dir, kill_after) {
                 let frozen = workers
                     .iter_mut()
                     .find(|w| w.child.as_ref().is_some_and(|c| c.id() == pid));
@@ -722,7 +727,7 @@ fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
     // Quarantine report: poison cells that crashed every claimer. The
     // battery around them completed — that is the point — but the run
     // must not look green.
-    let quarantined = LeaseManager::quarantine_reports(&cache_root);
+    let quarantined = LeaseManager::quarantine_reports(&cache_dir);
     if !quarantined.is_empty() {
         eprintln!("\nQUARANTINED CELLS ({}):", quarantined.len());
         for q in &quarantined {
@@ -732,7 +737,7 @@ fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
         eprintln!(
             "(each cell above crashed every worker that claimed it; the rest of the \
              battery completed. Remove {}/quarantine/ to retry.)",
-            cache_dir
+            cache_dir.display()
         );
     }
 
@@ -791,14 +796,10 @@ fn default_out_dir(cli: &Cli) -> String {
 /// `<out-dir>/mine.txt` is fully deterministic — cache and timing
 /// counters go to stderr — so a warm re-run (and every parallel worker)
 /// produces byte-identical output.
-fn run_mine(cli: &Cli) -> i32 {
-    // Mining probes dozens of cells x mechanisms x two tiers, so it
-    // defaults to a much smaller window than the battery; the usual
-    // environment overrides still apply (and the cliff repro lines
-    // set them explicitly).
-    let window = TraceWindow::new(knob("MICROLIB_SKIP", 2_000), knob("MICROLIB_SIM", 4_000));
+fn run_mine(cli: &Cli, settings: Settings) -> i32 {
+    let window = settings.window();
     let base_opts = SimOptions {
-        seed: knob("MICROLIB_SEED", 0xC0FFEE),
+        seed: settings.seed,
         window,
         ..SimOptions::default()
     };
@@ -809,12 +810,10 @@ fn run_mine(cli: &Cli) -> i32 {
     if let Some(b) = cli.mine_bound {
         cfg.bound = b;
     }
-    cfg.threads = std_threads();
-    if let Some(spec) = &cli.shard {
-        let s = microlib::ShardSpec::parse(spec).expect("selection() validated --shard");
-        cfg.shard = Some((s.index, s.count));
-    }
-    let cx = Context::new();
+    cfg.threads = settings.threads;
+    cfg.shard = settings.shard.map(|s| (s.index, s.count));
+    cfg.perturb = settings.mine_perturb;
+    let cx = Context::with_settings(settings);
     let store = cx.store();
     // Drop-time sweep: even a panicking mine run releases its leases and
     // syncs the journal (the explicit finish() calls below still cover
@@ -848,12 +847,7 @@ fn run_mine(cli: &Cli) -> i32 {
     let mut out = String::new();
     out.push_str(&format!(
         "inconsistency mining: seed={:#x} skip={} sim={} budget={} bound={:.4} perturb={:.4}\n",
-        cfg.base_opts.seed,
-        window.skip,
-        window.simulate,
-        cfg.budget,
-        cfg.bound,
-        perturb_from_env(),
+        cfg.base_opts.seed, window.skip, window.simulate, cfg.budget, cfg.bound, cfg.perturb,
     ));
     out.push_str(&format!(
         "mechanisms: {}\n\n",
@@ -930,57 +924,30 @@ fn run_mine(cli: &Cli) -> i32 {
 }
 
 fn main() {
-    let cli = match selection() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            exit(2);
-        }
-    };
-    // A malformed override is a usage error, never a silent default.
-    if let Err(e) = check_env() {
+    // A malformed variable or flag is a usage error, never a silent default.
+    let (cli, settings) = parse().unwrap_or_else(|e| {
         eprintln!("{e}");
-        exit(2);
-    }
-    // `--sampled` must actually sample: override an unset or *disabling*
-    // MICROLIB_SAMPLED (a stale `=0` in the shell would otherwise run the
-    // whole battery in full mode while labeling the output sampled), but
-    // respect an explicit sampling spec.
-    if cli.sampled
-        && matches!(
-            std::env::var("MICROLIB_SAMPLED").as_deref(),
-            Err(_) | Ok("" | "0" | "off" | "false")
-        )
-    {
-        std::env::set_var("MICROLIB_SAMPLED", "1");
-    }
-    // The Context builds its store from the environment; publish the
-    // resolved cache decision there (mirrors the --sampled handling).
-    match &cli.cache_dir {
-        Some(dir) => std::env::set_var("MICROLIB_CACHE_DIR", dir),
-        None => std::env::set_var("MICROLIB_CACHE_DIR", "off"),
-    }
+        exit(2)
+    });
+    eprintln!("settings: {settings}");
     if let Some(n) = cli.workers {
-        exit(coordinate(&cli, n));
+        exit(coordinate(&cli, &settings, n));
     }
-    if let Some(spec) = &cli.shard {
-        std::env::set_var("MICROLIB_SHARD", spec);
-    }
-    // The worker-start fault point (after the cache/shard environment is
-    // resolved, before any real work).
-    let worker_id = std::env::var("MICROLIB_WORKER_ID").unwrap_or_default();
+    // The worker-start fault point (after the settings are resolved,
+    // before any real work).
+    let worker_id = settings.worker_id.clone().unwrap_or_default();
     microlib::fault::trigger("worker-start", &worker_id);
     if cli.mine {
-        exit(run_mine(&cli));
+        exit(run_mine(&cli, settings));
     }
     let out_dir = cli.out_dir.clone().unwrap_or_else(|| default_out_dir(&cli));
     fs::create_dir_all(&out_dir).expect("results dir");
-    let mut cx = Context::new();
+    let mut cx = Context::with_settings(settings);
     // Drop-time sweep for every path that unwinds or returns without
     // reaching the explicit finish() below: no exit leaves lease files
     // behind. (exit() skips Drop, but those paths finish() explicitly.)
     let _finish = cx.store().finish_guard();
-    if let Some(spec) = &cli.shard {
+    if let Some(spec) = cx.settings().shard {
         println!(
             ">>> worker{}: shard {spec}, cache {}",
             if worker_id.is_empty() {
@@ -988,7 +955,10 @@ fn main() {
             } else {
                 format!(" {worker_id}")
             },
-            cli.cache_dir.as_deref().unwrap_or("off"),
+            cx.settings()
+                .cache_dir
+                .path()
+                .map_or("off".into(), |d| d.display().to_string()),
         );
     }
     let battery = Instant::now();

@@ -18,7 +18,7 @@ const BENCHES: [&str; 6] = ["swim", "mgrid", "mcf", "gzip", "gcc", "crafty"];
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "ablation_fidelity",
         "Extension: per-toggle fidelity ablation (beyond Fig 1/Fig 9)",
@@ -58,10 +58,10 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
             system,
             benchmarks: BENCHES.iter().map(|s| s.to_string()).collect(),
             mechanisms: vec![MechanismKind::Base],
-            window: crate::std_window(),
-            seed: crate::std_seed(),
-            threads: crate::std_threads(),
-            sampling: crate::std_sampling(),
+            window: cx.settings().window(),
+            seed: cx.settings().seed,
+            threads: cx.settings().threads,
+            sampling: cx.settings().sampling,
         };
         let matrix = cx.sweep(&cfg);
         let ipcs: Vec<f64> = BENCHES

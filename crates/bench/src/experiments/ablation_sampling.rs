@@ -25,13 +25,13 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "ablation_sampling",
         "Extension: SimPoint-sampled campaign (beyond Fig 11)",
         "Weighted-CPI reconstruction error and detailed-work reduction, sampled vs full",
     )?;
-    let window = crate::std_window();
+    let window = cx.settings().window();
     let mode = SamplingMode::simpoints_for(window);
     let SamplingMode::SimPoints {
         interval,
@@ -46,7 +46,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
         "sampling plan: {interval}-instruction intervals, <= {max_clusters} clusters, full-prefix warm-up\n"
     )?;
 
-    let mut full_cfg = crate::std_experiment();
+    let mut full_cfg = cx.settings().experiment();
     full_cfg.sampling = SamplingMode::Full;
     let mut sampled_cfg = full_cfg.clone();
     sampled_cfg.sampling = mode;

@@ -17,16 +17,16 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig01_model_validation",
         "Fig 1 (MicroLib cache model validation)",
         "IPC: detailed model vs SimpleScalar-like idealized model, per benchmark",
     )?;
-    let window = crate::std_window();
-    let seed = crate::std_seed();
+    let window = cx.settings().window();
+    let seed = cx.settings().seed;
     let store = cx.store().clone();
-    let comparisons = crate::par_pool().install(|| {
+    let comparisons = cx.settings().pool().install(|| {
         benchmarks::NAMES
             .par_iter()
             .map(|bench| compare_fidelity(&store, bench, window, seed))

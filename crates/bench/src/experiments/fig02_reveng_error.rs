@@ -20,15 +20,15 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig02_reveng_error",
         "Fig 2 (Validation of TK, TCP and TKVC)",
         "Relative speedup error: our setup vs article setup, per benchmark",
     )?;
-    let article = crate::article_window();
-    let seed = crate::std_seed();
-    let pool = crate::par_pool();
+    let article = cx.settings().article_window();
+    let seed = cx.settings().seed;
+    let pool = cx.settings().pool();
     // The "our setup" half of each comparison IS a standard-campaign cell;
     // only the article-setup runs (constant-70 memory, longer window) need
     // fresh simulation.

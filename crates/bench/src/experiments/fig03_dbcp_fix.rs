@@ -17,16 +17,16 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig03_dbcp_fix",
         "Fig 3 (Fixing the DBCP reverse-engineered implementation)",
         "Speedup of the initial (buggy) vs fixed DBCP per benchmark",
     )?;
-    let window = crate::article_window();
-    let seed = crate::std_seed();
+    let window = cx.settings().article_window();
+    let seed = cx.settings().seed;
     let store = cx.store().clone();
-    let comparisons = crate::par_pool().install(|| {
+    let comparisons = cx.settings().pool().install(|| {
         benchmarks::NAMES
             .par_iter()
             .map(|bench| compare_dbcp_variants(&store, bench, window, seed))

@@ -16,7 +16,7 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig04_speedup",
         "Fig 4 (Speedup) + mechanism ranking",

@@ -17,13 +17,13 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig05_power_cost",
         "Fig 5 (Power and Cost Ratios)",
         "Area ratio and power ratio vs base hierarchy, averaged over 26 benchmarks",
     )?;
-    let system = crate::std_experiment().system;
+    let system = cx.settings().experiment().system;
     let matrix = cx.std_matrix();
     let area = AreaModel::default();
     let energy = EnergyModel::default();

@@ -14,7 +14,7 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig06_benchmark_sensitivity",
         "Fig 6 (Benchmark sensitivity)",

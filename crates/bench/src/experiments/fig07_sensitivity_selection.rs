@@ -14,7 +14,7 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig07_sensitivity_selection",
         "Fig 7 (High- and low-sensitivity benchmark speedups)",

@@ -18,13 +18,13 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig08_memory_model",
         "Fig 8 (Effect of the memory model)",
         "Mean speedups under constant-70 vs SDRAM-170 vs SDRAM-70 memory",
     )?;
-    let base = crate::std_experiment();
+    let base = cx.settings().experiment();
 
     // The sdram-170 column IS the standard campaign (Table 1 baseline);
     // only the two alternative memory models need fresh sweeps, both over

@@ -16,7 +16,7 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig09_mshr",
         "Fig 9 (Effect of the cache model accuracy: MSHR size)",
@@ -24,7 +24,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
     )?;
     // The finite-MSHR sweep IS the standard campaign; only the infinite
     // variant needs a fresh sweep.
-    let mut infinite_cfg = crate::std_experiment();
+    let mut infinite_cfg = cx.settings().experiment();
     infinite_cfg.system.fidelity.finite_mshr = false;
     let infinite = cx.sweep(&infinite_cfg);
     let finite = cx.std_matrix();

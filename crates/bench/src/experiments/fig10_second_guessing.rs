@@ -17,20 +17,21 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig10_second_guessing",
         "Fig 10 (Effect of second-guessing: TCP prefetch queue size)",
         "TCP speedup with a 128-entry vs a 1-entry request queue, per benchmark",
     )?;
     let cfg = std::sync::Arc::new(microlib_model::SystemConfig::baseline());
-    let opts = crate::std_options();
+    let opts = cx.settings().sim_options();
     // The Base and default-queue (128) TCP cells ARE standard-campaign
     // cells; only the 1-entry variant needs fresh simulation (one run per
     // benchmark, each a parallel work item).
     let store = cx.store().clone();
+    let pool = cx.settings().pool();
     let matrix = cx.std_matrix();
-    let q1_speedups: Vec<f64> = crate::par_pool().install(|| {
+    let q1_speedups: Vec<f64> = pool.install(|| {
         benchmarks::NAMES
             .par_iter()
             .map(|bench| {

@@ -18,15 +18,15 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "fig11_trace_selection",
         "Fig 11 (Effect of trace selection)",
         "Arbitrary skip/simulate window vs the SimPoint-selected interval",
     )?;
-    let base = crate::std_experiment();
-    let seed = crate::std_seed();
-    let window = crate::std_window();
+    let base = cx.settings().experiment();
+    let seed = cx.settings().seed;
+    let window = cx.settings().window();
 
     // SimPoint per benchmark: profile BBVs over a profiling prefix, pick
     // the primary simulation point, simulate that interval.
@@ -44,7 +44,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
     // Inner campaigns share the battery-wide store: their cells memoize
     // (and persist, with a disk tier) like standard-campaign cells.
     let store = cx.store().clone();
-    let per_bench: Vec<(usize, TraceWindow, Vec<f64>)> = crate::par_pool().install(|| {
+    let per_bench: Vec<(usize, TraceWindow, Vec<f64>)> = cx.settings().pool().install(|| {
         benchmarks::NAMES
             .par_iter()
             .map(|bench| {

@@ -1,11 +1,11 @@
 //! The experiment battery, one module per figure/table of the paper.
 //!
-//! Every experiment is a plain function `run(cx, w)`: shared sweeps come
-//! from the [`Context`] (so a battery run computes the
+//! Every experiment is a plain function `run(cx, w)`: settings and shared
+//! sweeps come from the [`Context`] (so a battery run computes the
 //! standard campaign once), and all deterministic output goes to `w`
-//! (stdout for the standalone binaries, a capture buffer for `run_all`).
-//! Progress and timing go to stderr only — result tables must be
-//! bit-identical across runs and thread counts.
+//! (`run_all` captures it under `results/`). Progress and timing go to
+//! stderr only — result tables must be bit-identical across runs and
+//! thread counts.
 
 use crate::Context;
 use std::io;

@@ -11,8 +11,8 @@ use std::io::{self, Write};
 /// # Errors
 ///
 /// Propagates write failures on `w`.
-pub fn run(_cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
+    cx.header(
         w,
         "tab01_config",
         "Table 1 (Baseline configuration)",

@@ -15,8 +15,8 @@ use std::io::{self, Write};
 /// # Errors
 ///
 /// Propagates write failures on `w`.
-pub fn run(_cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
+    cx.header(
         w,
         "tab05_prior_comparisons",
         "Table 5 (Previous comparisons)",

@@ -16,7 +16,7 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "tab06_subset_winners",
         "Table 6 (Which mechanism can be the best with N benchmarks?)",

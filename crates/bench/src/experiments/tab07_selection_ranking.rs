@@ -15,7 +15,7 @@ use std::io::{self, Write};
 ///
 /// Propagates write failures on `w`.
 pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
-    crate::header(
+    cx.header(
         w,
         "tab07_selection_ranking",
         "Table 7 (Influence of benchmark selection)",

@@ -27,7 +27,6 @@ fn run_all() -> Command {
     for stale in [
         "MICROLIB_CACHE_DIR",
         "MICROLIB_SAMPLED",
-        "MICROLIB_SHARD",
         "MICROLIB_LEASE",
         "MICROLIB_WORKER_ID",
         "MICROLIB_FAULT",
@@ -319,14 +318,23 @@ fn usage_errors_exit_2() {
     }
 }
 
-/// A malformed numeric or sampling override is a usage error naming the
-/// variable, never a silent fall-back to the default.
+/// A malformed `MICROLIB_*` value is a usage error naming the variable,
+/// never a silent fall-back to the default — including the knobs only
+/// the coordinator, the lease layer, the disk tier, the miner or the
+/// fault harness read.
 #[test]
 fn malformed_env_overrides_exit_2() {
     for (name, value) in [
         ("MICROLIB_SIM", "2k"),
         ("MICROLIB_SEED", "0xZZ"),
         ("MICROLIB_SAMPLED", "5000:3"),
+        ("MICROLIB_LEASE_TIMEOUT_MS", "5s"),
+        ("MICROLIB_STEAL_GRACE_MS", "x"),
+        ("MICROLIB_CELL_RETRIES", "-1"),
+        ("MICROLIB_CACHE_WARM_MAX_MB", "8M"),
+        ("MICROLIB_MINE_PERTURB", "abc"),
+        ("MICROLIB_FAULT", "bogus"),
+        ("MICROLIB_ARTIFACTS", "of"),
     ] {
         let out = run_all()
             .env(name, value)
@@ -337,4 +345,32 @@ fn malformed_env_overrides_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{name}={value}:\n{stderr}");
         assert!(stderr.contains(name), "{name}={value}:\n{stderr}");
     }
+}
+
+/// Every run prints its effective settings, once, on stderr only.
+#[test]
+fn run_banner_shows_the_effective_settings() {
+    let root = tmp_dir("banner");
+    let out = root.join("results");
+    let run = run_all()
+        .args(["--no-cache", "--only", "tab01_config", "--out-dir"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert_success(&run, "tab01_config");
+    let stderr = text(&run.stderr);
+    let banner: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("settings: "))
+        .collect();
+    assert_eq!(banner.len(), 1, "one banner line:\n{stderr}");
+    assert!(
+        banner[0].contains("skip=50 sim=100") && banner[0].contains("cache=off"),
+        "{}",
+        banner[0]
+    );
+    assert!(!text(&run.stdout).contains("settings: "));
+    let table = fs::read_to_string(out.join("tab01_config.txt")).unwrap();
+    assert!(!table.contains("settings: "));
+    let _ = fs::remove_dir_all(&root);
 }

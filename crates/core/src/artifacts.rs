@@ -31,17 +31,16 @@
 //! input a run depends on. `tests/artifacts.rs` asserts equality for all
 //! thirteen study mechanisms, cold vs shared.
 //!
-//! The `MICROLIB_ARTIFACTS` environment variable (`off`/`0`/`false` to
-//! disable) gates the default stores created by
-//! [`Campaign`](crate::Campaign); a disabled store makes every run take
-//! the legacy cold path.
+//! A [disabled](ArtifactStore::disabled) store (`MICROLIB_ARTIFACTS=off`
+//! through [`from_settings`](ArtifactStore::from_settings)) makes every
+//! run take the legacy cold path.
 //!
 //! # The on-disk tier
 //!
 //! A store can additionally carry a persistent
 //! [`DiskCache`](crate::DiskCache) tier
 //! ([`with_disk_cache`](ArtifactStore::with_disk_cache), or
-//! `MICROLIB_CACHE_DIR` via [`from_env`](ArtifactStore::from_env)).
+//! `MICROLIB_CACHE_DIR` via [`from_settings`](ArtifactStore::from_settings)).
 //! Result memos, sampling plans and warm-state checkpoints are then
 //! written through to disk as they are computed and served from disk by
 //! later processes; traces stay memory-only (they regenerate faster than
@@ -53,6 +52,7 @@
 
 use crate::disk::DiskCache;
 use crate::lease::{Claim, LeaseManager};
+use crate::settings::Settings;
 use crate::shard::ShardSpec;
 use crate::simulator::{RunResult, SimError, SimOptions};
 use microlib_mech::MechanismKind;
@@ -72,22 +72,6 @@ use std::time::{Duration, Instant};
 /// memo keys.
 pub fn config_key(config: &SystemConfig) -> String {
     format!("{config:?}")
-}
-
-/// Largest encoded warm state (bytes) the disk tier persists:
-/// `MICROLIB_CACHE_WARM_MAX_MB` (MiB; `0` = unlimited), default 8 MiB.
-/// Small-window warm states (the CI regime) fit comfortably; the
-/// multi-ten-MB event logs of article-scale warm phases are cheaper to
-/// re-record than to store per configuration.
-fn warm_disk_cap() -> usize {
-    match std::env::var("MICROLIB_CACHE_WARM_MAX_MB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(0) => usize::MAX,
-        Some(mib) => mib.saturating_mul(1 << 20),
-        None => 8 << 20,
-    }
 }
 
 #[derive(Default)]
@@ -241,7 +225,13 @@ pub struct ArtifactStore {
     disk: Option<DiskCache>,
     lease: Option<LeaseManager>,
     shard: Option<ShardSpec>,
+    /// How long a memo miss on another shard's cell waits for its owner.
     steal_grace: Duration,
+    /// Largest encoded warm state (bytes) the disk tier persists.
+    /// Small-window warm states (the CI regime) fit comfortably; the
+    /// multi-ten-MB event logs of article-scale warm phases are cheaper
+    /// to re-record than to store per configuration.
+    warm_disk_cap: usize,
     traces: Mutex<HashMap<(&'static str, u64), Arc<TraceSlot>>>,
     warm: Mutex<HashMap<WarmKey, Arc<Mutex<WarmGate>>>>,
     plans: Mutex<HashMap<PlanKey, Arc<PlanSlot>>>,
@@ -290,17 +280,14 @@ impl Default for ArtifactStore {
 
 impl ArtifactStore {
     fn with_enabled(enabled: bool) -> Self {
+        let defaults = Settings::default();
         ArtifactStore {
             enabled,
             disk: None,
             lease: None,
             shard: None,
-            steal_grace: Duration::from_millis(
-                std::env::var("MICROLIB_STEAL_GRACE_MS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1_500),
-            ),
+            steal_grace: defaults.steal_grace,
+            warm_disk_cap: defaults.warm_disk_cap(),
             traces: Mutex::new(HashMap::new()),
             warm: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
@@ -365,58 +352,31 @@ impl ArtifactStore {
         self
     }
 
-    /// Sets this process's shard: memo misses on cells *another* shard
-    /// owns first wait out a grace period (`MICROLIB_STEAL_GRACE_MS`,
-    /// default 1500 ms) for the owner's memo before claiming the cell
-    /// themselves — the partition steers work while the lease layer
-    /// keeps it correct and live (see [`ShardSpec`]).
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// A store honouring the `MICROLIB_ARTIFACTS` environment variable
-    /// (enabled unless it is `off`, `0` or `false`), with an on-disk tier
-    /// at `MICROLIB_CACHE_DIR` when that is set to a path (unset, empty,
-    /// `off`, `0` and `false` mean memory-only). When the disk tier is
-    /// active and multi-process coordination is requested —
-    /// `MICROLIB_SHARD` is set, or `MICROLIB_LEASE` is `on`/`1`/`true` —
-    /// the store also claims cells through lease files in the cache dir.
-    pub fn from_env() -> Self {
-        let mut store = Self::with_enabled(Self::enabled_by_env());
-        if let Some(dir) = Self::cache_dir_from_env() {
-            store = store.with_disk_cache(dir.clone());
-            let shard = ShardSpec::from_env();
-            let lease_on = matches!(
-                std::env::var("MICROLIB_LEASE").as_deref(),
-                Ok("on" | "1" | "true")
-            );
-            if store.disk.is_some() && (shard.is_some() || lease_on) {
-                store = store.with_lease_manager(LeaseManager::new(dir));
-                if let Some(shard) = shard {
-                    store = store.with_shard(shard);
-                }
+    /// The store `settings` describe: enabled unless `artifacts` is off,
+    /// with the disk tier at `cache_dir` (if any), its steal grace and
+    /// warm-state disk cap, and — when the disk tier is active and a
+    /// `shard` is set or `lease` is on — cell claims through lease files
+    /// in the cache directory. Memo misses on cells *another* shard owns
+    /// first wait out the steal grace for the owner's memo before
+    /// claiming the cell themselves: the partition steers work while the
+    /// lease layer keeps it correct and live (see [`ShardSpec`]).
+    pub fn from_settings(settings: &Settings) -> Self {
+        let mut store = Self::with_enabled(settings.artifacts);
+        store.steal_grace = settings.steal_grace;
+        store.warm_disk_cap = settings.warm_disk_cap();
+        if let Some(dir) = settings.cache_dir.path() {
+            store = store.with_disk_cache(dir);
+            if store.disk.is_some() && (settings.shard.is_some() || settings.lease) {
+                store.lease = Some(LeaseManager::new(
+                    dir,
+                    settings.lease_timeout,
+                    settings.cell_retries,
+                    settings.worker_id.as_deref().unwrap_or("-"),
+                ));
+                store.shard = settings.shard;
             }
         }
         store
-    }
-
-    /// The disk-cache directory `MICROLIB_CACHE_DIR` requests, if any.
-    pub fn cache_dir_from_env() -> Option<PathBuf> {
-        match std::env::var("MICROLIB_CACHE_DIR") {
-            Ok(dir) if !matches!(dir.as_str(), "" | "off" | "0" | "false") => {
-                Some(PathBuf::from(dir))
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether `MICROLIB_ARTIFACTS` currently allows artifact sharing.
-    pub fn enabled_by_env() -> bool {
-        !matches!(
-            std::env::var("MICROLIB_ARTIFACTS").as_deref(),
-            Ok("off" | "0" | "false")
-        )
     }
 
     /// Whether this store shares artifacts (`false` for
@@ -591,7 +551,7 @@ impl ArtifactStore {
             // round trip is worth less than the space: persist only
             // entries under the cap (memos and plans — the artifacts that
             // make re-runs incremental — are never capped).
-            if e.as_bytes().len() <= warm_disk_cap() {
+            if e.as_bytes().len() <= self.warm_disk_cap {
                 disk.store("warm", key, e.as_bytes());
             }
         }
@@ -1137,8 +1097,12 @@ mod tests {
 
     #[test]
     fn env_knob_parses() {
-        // Not set in the test environment: sharing defaults on.
-        assert!(ArtifactStore::from_env().is_enabled() == ArtifactStore::enabled_by_env());
+        let off = Settings {
+            artifacts: false,
+            ..Settings::default()
+        };
+        assert!(!ArtifactStore::from_settings(&off).is_enabled());
+        assert!(ArtifactStore::from_settings(&Settings::default()).is_enabled());
         assert!(!ArtifactStore::disabled().is_enabled());
         assert!(ArtifactStore::new().is_enabled());
     }

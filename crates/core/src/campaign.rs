@@ -17,7 +17,8 @@
 //! # Crash-safe resume
 //!
 //! A campaign over a store with an on-disk tier
-//! ([`ArtifactStore::with_disk_cache`], or `MICROLIB_CACHE_DIR`) is
+//! ([`ArtifactStore::with_disk_cache`], or `MICROLIB_CACHE_DIR` through
+//! [`ArtifactStore::from_settings`]) is
 //! resumable: every finished cell is journaled to the disk memo the
 //! moment it completes (one atomically written file per cell), so a
 //! campaign killed at any point — `SIGKILL` included — restarts,
@@ -104,21 +105,16 @@ impl std::fmt::Debug for Campaign {
 impl Campaign {
     /// Creates a campaign over `config`'s (benchmark × mechanism) grid.
     ///
-    /// Unless `MICROLIB_ARTIFACTS` disables sharing, the campaign owns a
-    /// fresh [`ArtifactStore`], so its cells share one trace buffer and
-    /// one warm state per benchmark instead of re-deriving them per
-    /// mechanism. Use [`with_store`](Campaign::with_store) to share
-    /// artifacts *across* campaigns as well.
+    /// The campaign owns a fresh [`ArtifactStore`], so its cells share
+    /// one trace buffer and one warm state per benchmark instead of
+    /// re-deriving them per mechanism. Use
+    /// [`with_store`](Campaign::with_store) to share artifacts *across*
+    /// campaigns as well.
     pub fn new(config: ExperimentConfig) -> Self {
-        let store = if ArtifactStore::enabled_by_env() {
-            ArtifactStore::new()
-        } else {
-            ArtifactStore::disabled()
-        };
         Campaign {
             config,
             progress: None,
-            store: Arc::new(store),
+            store: Arc::new(ArtifactStore::new()),
         }
     }
 

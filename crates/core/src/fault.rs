@@ -1,6 +1,8 @@
 //! Deterministic fault injection for the fault-tolerance test matrix.
 //!
-//! `MICROLIB_FAULT` arms one or more *fault specs*, each of the form
+//! [`arm_from`] arms the *fault specs* of `MICROLIB_FAULT` (read into
+//! [`Settings`]; `run_all` and `microlib-serve` arm at startup), each of
+//! the form
 //!
 //! ```text
 //! <point>[@<qualifier>]:<nth>[:<kind>]
@@ -14,7 +16,7 @@
 //! |---|---|
 //! | `abort` (default) | `std::process::abort()` — an uncatchable `SIGABRT`, indistinguishable from a `SIGKILL`-class crash to the coordinator |
 //! | `panic` | a Rust panic — exercises the in-process isolation layers (`catch_unwind` per experiment, lease abandonment on unwind) |
-//! | `stall` | freezes lease heartbeats ([`stalled`]) and sleeps `MICROLIB_FAULT_STALL_MS` (default 600 000 ms), then aborts — exercises the stale-lease timeout → reclaim → kill path |
+//! | `stall` | freezes lease heartbeats ([`stalled`]) and sleeps `MICROLIB_FAULT_STALL_MS`, then aborts — exercises the stale-lease timeout → reclaim → kill path |
 //! | `torn` | returned to the caller ([`injected`]), which simulates a torn write: truncated bytes placed at the *final* path, bypassing the atomic temp-file + rename protocol |
 //!
 //! Injection points wired through the codebase:
@@ -38,13 +40,15 @@
 //!   can be observed. `nth = *` skips the sentinel and fires every time
 //!   in every process — the semantics a poison cell needs.
 //!
-//! Everything here is inert (one relaxed atomic load per call site)
-//! unless a spec is armed.
+//! Everything here is inert (one uncontended lock per call site) unless
+//! a spec is armed.
 
+use crate::settings::Settings;
 use microlib_model::codec::fnv1a;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// What an armed fault spec does when it fires (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,7 +66,7 @@ pub enum FaultKind {
 
 /// One armed `<point>[@qual]:<nth>[:<kind>]` spec.
 #[derive(Debug)]
-struct FaultSpec {
+pub(crate) struct FaultSpec {
     point: String,
     qual: Option<String>,
     /// `None` = fire on every hit; `Some(n)` = fire on the `n`th hit of
@@ -79,6 +83,8 @@ struct Harness {
     specs: Vec<FaultSpec>,
     /// Sentinel directory for the fire-once-globally protocol.
     dir: Option<PathBuf>,
+    /// How long a stall sleeps before aborting.
+    stall: Duration,
 }
 
 /// Set once a stall fault fires: the lease heartbeat thread checks this
@@ -90,78 +96,76 @@ pub fn stalled() -> bool {
     STALLED.load(Ordering::Relaxed)
 }
 
-fn slot() -> &'static Mutex<Option<&'static Harness>> {
-    static SLOT: OnceLock<Mutex<Option<&'static Harness>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(harness_from_env().map(|h| &*Box::leak(Box::new(h)))))
-}
+static ARMED: Mutex<Option<&'static Harness>> = Mutex::new(None);
 
 fn active() -> Option<&'static Harness> {
-    *slot().lock().expect("fault harness lock")
+    *ARMED.lock().expect("fault harness lock")
 }
 
-/// Parses and arms `spec` in place of whatever `MICROLIB_FAULT` said —
-/// the test hook (tests in one process cannot re-exec to change the
-/// environment). Hit counters start at zero.
+fn install(harness: Harness) {
+    *ARMED.lock().expect("fault harness lock") = Some(&*Box::leak(Box::new(harness)));
+}
+
+/// Arms `settings.fault`, if any, unless `settings.fault_worker` names a
+/// worker other than `settings.worker_id` (the coordinator, which has no
+/// worker id, then stays clean too). Numeric specs fire once globally
+/// through sentinels under `settings.fault_dir`, by default
+/// `<cache dir>/fault`.
+///
+/// # Errors
+///
+/// The parse failure for a malformed spec; nothing is armed then.
+pub fn arm_from(settings: &Settings) -> Result<(), String> {
+    let Some(spec) = &settings.fault else {
+        return Ok(());
+    };
+    if settings.fault_worker.is_some() && settings.fault_worker != settings.worker_id {
+        return Ok(());
+    }
+    let dir = settings
+        .fault_dir
+        .clone()
+        .or_else(|| Some(settings.cache_dir.path()?.join("fault")));
+    install(Harness {
+        specs: parse_specs(spec)?,
+        dir,
+        stall: settings.fault_stall,
+    });
+    Ok(())
+}
+
+/// Parses and arms `spec` (the test hook), with no fire-once sentinels.
+/// Hit counters start at zero.
 ///
 /// # Errors
 ///
 /// Returns the parse failure for a malformed spec; the previously armed
 /// harness stays in place.
 pub fn arm(spec: &str) -> Result<(), String> {
-    let harness = parse_harness(spec, fault_dir())?;
-    *slot().lock().expect("fault harness lock") = Some(&*Box::leak(Box::new(harness)));
+    install(Harness {
+        specs: parse_specs(spec)?,
+        dir: None,
+        stall: Settings::default().fault_stall,
+    });
     Ok(())
 }
 
 /// Disarms every fault spec (test hook).
 pub fn disarm() {
-    *slot().lock().expect("fault harness lock") = None;
+    *ARMED.lock().expect("fault harness lock") = None;
 }
 
-fn fault_dir() -> Option<PathBuf> {
-    if let Ok(dir) = std::env::var("MICROLIB_FAULT_DIR") {
-        if !dir.is_empty() {
-            return Some(PathBuf::from(dir));
-        }
-    }
-    match std::env::var("MICROLIB_CACHE_DIR") {
-        Ok(dir) if !matches!(dir.as_str(), "" | "off" | "0" | "false") => {
-            Some(PathBuf::from(dir).join("fault"))
-        }
-        _ => None,
-    }
-}
-
-fn harness_from_env() -> Option<Harness> {
-    let spec = std::env::var("MICROLIB_FAULT").ok()?;
-    if spec.is_empty() {
-        return None;
-    }
-    // MICROLIB_FAULT_WORKER targets one worker; any other process
-    // (including the coordinator, which has no worker id) stays clean.
-    if let Ok(target) = std::env::var("MICROLIB_FAULT_WORKER") {
-        if std::env::var("MICROLIB_WORKER_ID").as_deref() != Ok(target.as_str()) {
-            return None;
-        }
-    }
-    match parse_harness(&spec, fault_dir()) {
-        Ok(h) => Some(h),
-        Err(e) => {
-            eprintln!("MICROLIB_FAULT={spec:?} ignored: {e}");
-            None
-        }
-    }
-}
-
-fn parse_harness(spec: &str, dir: Option<PathBuf>) -> Result<Harness, String> {
-    let mut specs = Vec::new();
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        specs.push(parse_spec(part)?);
-    }
+/// Parses a comma-separated list of fault specs.
+pub(crate) fn parse_specs(spec: &str) -> Result<Vec<FaultSpec>, String> {
+    let specs = spec
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .map(parse_spec)
+        .collect::<Result<Vec<_>, _>>()?;
     if specs.is_empty() {
         return Err("no fault specs".to_owned());
     }
-    Ok(Harness { specs, dir })
+    Ok(specs)
 }
 
 fn parse_spec(part: &str) -> Result<FaultSpec, String> {
@@ -272,11 +276,8 @@ pub fn execute(kind: FaultKind, point: &str, qual: &str) {
         FaultKind::Stall => {
             eprintln!("injected fault: stall at {at} (heartbeats frozen)");
             STALLED.store(true, Ordering::Relaxed);
-            let ms = std::env::var("MICROLIB_FAULT_STALL_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(600_000);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
+            let stall = active().map_or(Settings::default().fault_stall, |h| h.stall);
+            std::thread::sleep(stall);
             // A stalled worker that nobody killed must still not complete
             // the cell (the stall simulates a hang, not a delay).
             eprintln!("injected fault: stall at {at} expired; aborting");
@@ -296,9 +297,17 @@ pub fn trigger(point: &str, qual: &str) {
 mod tests {
     use super::*;
 
+    fn harness(spec: &str, dir: Option<PathBuf>) -> Harness {
+        Harness {
+            specs: parse_specs(spec).unwrap(),
+            dir,
+            stall: Duration::ZERO,
+        }
+    }
+
     #[test]
     fn spec_grammar_parses() {
-        let h = parse_harness("cell@swim+GHB:1:panic,disk-write@memo:3:torn", None).unwrap();
+        let h = harness("cell@swim+GHB:1:panic,disk-write@memo:3:torn", None);
         assert_eq!(h.specs.len(), 2);
         assert_eq!(h.specs[0].point, "cell");
         assert_eq!(h.specs[0].qual.as_deref(), Some("swim+GHB"));
@@ -306,25 +315,25 @@ mod tests {
         assert_eq!(h.specs[0].kind, FaultKind::Panic);
         assert_eq!(h.specs[1].kind, FaultKind::Torn);
 
-        let every = parse_harness("cell:*:abort", None).unwrap();
+        let every = harness("cell:*:abort", None);
         assert_eq!(every.specs[0].nth, None);
         assert_eq!(every.specs[0].kind, FaultKind::Abort);
         assert_eq!(every.specs[0].qual, None);
 
-        let default_kind = parse_harness("worker-start:2", None).unwrap();
+        let default_kind = harness("worker-start:2", None);
         assert_eq!(default_kind.specs[0].kind, FaultKind::Abort);
 
-        assert!(parse_harness("", None).is_err());
-        assert!(parse_harness("cell", None).is_err());
-        assert!(parse_harness("cell:0", None).is_err());
-        assert!(parse_harness("cell:x", None).is_err());
-        assert!(parse_harness("cell:1:explode", None).is_err());
-        assert!(parse_harness("@q:1", None).is_err());
+        assert!(parse_specs("").is_err());
+        assert!(parse_specs("cell").is_err());
+        assert!(parse_specs("cell:0").is_err());
+        assert!(parse_specs("cell:x").is_err());
+        assert!(parse_specs("cell:1:explode").is_err());
+        assert!(parse_specs("@q:1").is_err());
     }
 
     #[test]
     fn nth_counts_per_spec_and_qualifier_filters() {
-        let h = parse_harness("p@a:2:torn", None).unwrap();
+        let h = harness("p@a:2:torn", None);
         let fire = |point: &str, qual: &str| -> Option<FaultKind> {
             for spec in &h.specs {
                 if spec.point != point {
@@ -352,7 +361,7 @@ mod tests {
     fn one_shot_sentinel_claims_once() {
         let dir = std::env::temp_dir().join(format!("microlib-fault-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let h = parse_harness("p:1:abort", Some(dir.clone())).unwrap();
+        let h = harness("p:1:abort", Some(dir.clone()));
         assert!(h.claim_once(&h.specs[0]), "first claim wins");
         assert!(!h.claim_once(&h.specs[0]), "second claim is refused");
         let _ = std::fs::remove_dir_all(&dir);

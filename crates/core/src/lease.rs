@@ -16,7 +16,7 @@
 //!   memo (and the lease's freshness) and never compute.
 //! - **Heartbeat**: the lease file's *mtime* is the liveness signal. A
 //!   background thread touches every lease its process holds at a
-//!   fraction of `MICROLIB_LEASE_TIMEOUT_MS` (default 30 000 ms). The
+//!   fraction of the stale timeout (`MICROLIB_LEASE_TIMEOUT_MS`). The
 //!   body is diagnostics; mtime is the authority — a torn lease body
 //!   heartbeats (and expires) exactly like a healthy one.
 //! - **Reclaim**: a lease whose mtime is older than the timeout belongs
@@ -34,7 +34,7 @@
 //! (`<hash>.attempts`, atomic write); completing the cell deletes it.
 //! The counter therefore counts *claims that never completed* — crashed
 //! or abandoned-on-panic attempts. A claimer that finds the counter
-//! already at `MICROLIB_CELL_RETRIES` (default 3) writes a quarantine
+//! already at the retry budget (`MICROLIB_CELL_RETRIES`) writes a quarantine
 //! marker under `<cache>/quarantine/` instead of claiming: the cell has
 //! killed that many consecutive workers and nobody should try again.
 //! Quarantined cells surface as [`SimError::Quarantined`], which the
@@ -71,22 +71,6 @@ pub fn set_run_scope(name: &str) {
 
 fn run_scope() -> Option<String> {
     RUN_SCOPE.lock().expect("run scope lock").clone()
-}
-
-fn env_ms(name: &str, default: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(default),
-    )
-}
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(default)
 }
 
 #[derive(Debug)]
@@ -138,24 +122,15 @@ pub struct QuarantineReport {
 }
 
 impl LeaseManager {
-    /// A manager over `<cache_root>/lease` + `<cache_root>/quarantine`,
-    /// with the stale timeout and retry budget taken from
-    /// `MICROLIB_LEASE_TIMEOUT_MS` / `MICROLIB_CELL_RETRIES`.
-    pub fn new(cache_root: impl Into<PathBuf>) -> LeaseManager {
-        Self::with_params(
-            cache_root,
-            env_ms("MICROLIB_LEASE_TIMEOUT_MS", 30_000),
-            env_u32("MICROLIB_CELL_RETRIES", 3),
-        )
-    }
-
-    /// [`new`](LeaseManager::new) with explicit staleness timeout and
-    /// retry budget (the test hook; `max_attempts` is the K of
-    /// "quarantine after K crashed claims").
-    pub fn with_params(
+    /// A manager over `<cache_root>/lease` + `<cache_root>/quarantine`
+    /// that treats a lease silent for `timeout` as stale, quarantines a
+    /// cell after `max_attempts` crashed claims, and signs its leases
+    /// with `worker` (see [`Settings`](crate::Settings) for the knobs).
+    pub fn new(
         cache_root: impl Into<PathBuf>,
         timeout: Duration,
         max_attempts: u32,
+        worker: &str,
     ) -> LeaseManager {
         let root = cache_root.into();
         let inner = Arc::new(Inner {
@@ -163,7 +138,7 @@ impl LeaseManager {
             quarantine_dir: root.join("quarantine"),
             timeout,
             max_attempts: max_attempts.max(1),
-            worker: std::env::var("MICROLIB_WORKER_ID").unwrap_or_else(|_| "-".to_owned()),
+            worker: worker.to_owned(),
             held: Mutex::new(HashSet::new()),
             steal_seq: AtomicU64::new(0),
         });

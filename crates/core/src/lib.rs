@@ -50,8 +50,8 @@
 //! # Ok::<(), microlib::SimError>(())
 //! ```
 //!
-//! The `crates/bench` experiment binaries regenerate every figure and
-//! table of the paper; `run_all` runs the whole battery.
+//! The `crates/bench` experiments regenerate every figure and table of
+//! the paper; `run_all` runs the whole battery (`--only <name>` for one).
 
 #![warn(missing_docs)]
 
@@ -67,6 +67,7 @@ mod ranking;
 pub mod report;
 mod sampling;
 mod sensitivity;
+mod settings;
 mod shard;
 mod simulator;
 mod validation;
@@ -84,6 +85,7 @@ pub use ranking::{
 };
 pub use sampling::SamplingMode;
 pub use sensitivity::{benchmark_sensitivity, sensitivity_classes, BenchmarkSensitivity};
+pub use settings::{CacheDir, Settings};
 pub use shard::ShardSpec;
 pub use simulator::{run_one, RunResult, SimError, SimOptions};
 pub use validation::{

@@ -1,4 +1,4 @@
-//! Plain-text report formatting for the experiment binaries: aligned
+//! Plain-text report formatting for the experiments: aligned
 //! tables and simple horizontal bars, so every figure/table harness prints
 //! the same kind of rows the paper shows.
 

@@ -43,22 +43,6 @@ impl ShardSpec {
         Ok(ShardSpec { index, count })
     }
 
-    /// The shard spec `MICROLIB_SHARD` requests, if any (a malformed
-    /// value warns on stderr and is ignored).
-    pub fn from_env() -> Option<ShardSpec> {
-        let spec = std::env::var("MICROLIB_SHARD").ok()?;
-        if spec.is_empty() {
-            return None;
-        }
-        match ShardSpec::parse(&spec) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("MICROLIB_SHARD ignored: {e}");
-                None
-            }
-        }
-    }
-
     /// Whether this shard owns the cell with content key `key`.
     pub fn owns(&self, key: &str) -> bool {
         // FNV-1a's low bits correlate across the structured, mostly-

@@ -380,10 +380,7 @@ impl MemorySystem {
             l1d_stats_base: CacheStats::default(),
             l1i_stats_base: CacheStats::default(),
             l2_stats_base: CacheStats::default(),
-            trace_line: std::env::var("MICROLIB_TRACE_LINE")
-                .ok()
-                .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-                .map(Addr::new),
+            trace_line: None,
             config,
         })
     }
@@ -421,8 +418,7 @@ impl MemorySystem {
     }
 
     /// Debug aid: log every protocol action touching the 32-byte line that
-    /// contains `addr` to stderr (also settable via the
-    /// `MICROLIB_TRACE_LINE` environment variable, hex).
+    /// contains `addr` to stderr.
     pub fn set_trace_line(&mut self, addr: Option<Addr>) {
         self.trace_line = addr.map(|a| a.line(self.config.l1d.line_bytes));
     }

@@ -48,7 +48,5 @@ pub use mine::{
     mine, reprobe_cell, CellOutcome, MineConfig, MineReport, MinedCell, MINE_CACHE_CLASS,
 };
 pub use minimize::minimize;
-pub use probe::{
-    perturb_from_env, probe, CliffKind, ProbeOutcome, TierPair, DEFAULT_MECHANISMS, RANK_MARGIN,
-};
+pub use probe::{probe, CliffKind, ProbeOutcome, TierPair, DEFAULT_MECHANISMS, RANK_MARGIN};
 pub use space::{sample_cell, ConfigDelta, Knob, KNOBS, MINE_BENCHMARKS};

@@ -4,7 +4,7 @@
 
 use crate::cliff::CliffRecord;
 use crate::minimize::minimize;
-use crate::probe::{perturb_from_env, probe, DEFAULT_MECHANISMS};
+use crate::probe::{probe, DEFAULT_MECHANISMS};
 use crate::space::{sample_cell, ConfigDelta};
 use microlib::{ArtifactStore, SimOptions};
 use microlib_mech::MechanismKind;
@@ -34,6 +34,10 @@ pub struct MineConfig {
     /// but every worker still computes the full budget (outputs stay
     /// byte-identical across workers).
     pub shard: Option<(u32, u32)>,
+    /// Injected analytic-CPI error: every analytic CPI is scaled by
+    /// `1 + perturb` (`MICROLIB_MINE_PERTURB`, the negative gate proving
+    /// the cliffs-golden check watches the numbers).
+    pub perturb: f64,
 }
 
 impl MineConfig {
@@ -47,6 +51,7 @@ impl MineConfig {
             mechanisms: DEFAULT_MECHANISMS.to_vec(),
             threads: 0,
             shard: None,
+            perturb: 0.0,
         }
     }
 }
@@ -105,7 +110,7 @@ impl MineReport {
 
 /// The memo key for one cell: every input that can change its outcome,
 /// including float bounds bit-exactly and any injected perturbation.
-fn memo_key(cfg: &MineConfig, benchmark: &str, delta: &ConfigDelta, perturb: f64) -> String {
+fn memo_key(cfg: &MineConfig, benchmark: &str, delta: &ConfigDelta) -> String {
     let mechs = cfg
         .mechanisms
         .iter()
@@ -119,7 +124,7 @@ fn memo_key(cfg: &MineConfig, benchmark: &str, delta: &ConfigDelta, perturb: f64
         cfg.base_opts.window.skip,
         cfg.base_opts.window.simulate,
         cfg.bound.to_bits(),
-        perturb.to_bits(),
+        cfg.perturb.to_bits(),
     )
 }
 
@@ -158,17 +163,11 @@ fn compute_cell(
     benchmark: &'static str,
     delta: &ConfigDelta,
 ) -> CellOutcome {
-    let baseline = match probe(
-        store,
-        &ConfigDelta::default(),
-        benchmark,
-        &cfg.mechanisms,
-        &cfg.base_opts,
-    ) {
+    let baseline = match probe(store, cfg, &ConfigDelta::default(), benchmark) {
         Ok(outcome) => outcome,
         Err(e) => return CellOutcome::Failed(format!("baseline probe: {e}")),
     };
-    let first = match probe(store, delta, benchmark, &cfg.mechanisms, &cfg.base_opts) {
+    let first = match probe(store, cfg, delta, benchmark) {
         Ok(outcome) => outcome,
         Err(e) => return CellOutcome::Failed(e.to_string()),
     };
@@ -178,11 +177,11 @@ fn compute_cell(
     // A probe error during minimization counts as consistent: the
     // reversion is rejected and the knob stays in the delta.
     let minimal = minimize(delta, |candidate| {
-        probe(store, candidate, benchmark, &cfg.mechanisms, &cfg.base_opts)
+        probe(store, cfg, candidate, benchmark)
             .map(|o| o.cliff_kind(&baseline, cfg.bound).is_some())
             .unwrap_or(false)
     });
-    let last = match probe(store, &minimal, benchmark, &cfg.mechanisms, &cfg.base_opts) {
+    let last = match probe(store, cfg, &minimal, benchmark) {
         Ok(outcome) => outcome,
         Err(e) => return CellOutcome::Failed(e.to_string()),
     };
@@ -201,7 +200,7 @@ fn compute_cell(
         cfg.base_opts.window.skip,
         cfg.base_opts.window.simulate,
         cfg.bound,
-        perturb_from_env(),
+        cfg.perturb,
         baseline.max_rel_err,
         last.divergence_shift(&baseline),
         &last,
@@ -211,8 +210,7 @@ fn compute_cell(
 /// Mines one cell, going through the disk cache when available.
 fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell {
     let (benchmark, delta) = sample_cell(cfg.base_opts.seed, index as u64, &cfg.base_opts);
-    let perturb = perturb_from_env();
-    let key = memo_key(cfg, benchmark, &delta, perturb);
+    let key = memo_key(cfg, benchmark, &delta);
     if let Some(cache) = store.disk_cache() {
         if let Some(outcome) = cache
             .load(MINE_CACHE_CLASS, &key)
@@ -302,16 +300,9 @@ pub fn reprobe_cell(store: &ArtifactStore, spec: &str, cfg: &MineConfig) -> Resu
         .ok_or_else(|| format!("bad --mine-cell spec {spec:?}: expected benchmark:delta"))?;
     let delta =
         ConfigDelta::parse(delta_key).ok_or_else(|| format!("bad delta key {delta_key:?}"))?;
-    let baseline = probe(
-        store,
-        &ConfigDelta::default(),
-        benchmark,
-        &cfg.mechanisms,
-        &cfg.base_opts,
-    )
-    .map_err(|e| e.to_string())?;
-    let outcome = probe(store, &delta, benchmark, &cfg.mechanisms, &cfg.base_opts)
-        .map_err(|e| e.to_string())?;
+    let baseline =
+        probe(store, cfg, &ConfigDelta::default(), benchmark).map_err(|e| e.to_string())?;
+    let outcome = probe(store, cfg, &delta, benchmark).map_err(|e| e.to_string())?;
     let mut s = String::new();
     s.push_str(&format!("cell {benchmark}:{}\n", delta.key()));
     for p in &outcome.pairs {
@@ -364,10 +355,11 @@ mod tests {
 
     #[test]
     fn memo_keys_separate_perturbed_runs() {
-        let cfg = tiny_cfg();
+        let mut cfg = tiny_cfg();
         let delta = ConfigDelta::default();
-        let a = memo_key(&cfg, "swim", &delta, 0.0);
-        let b = memo_key(&cfg, "swim", &delta, 0.07);
+        let a = memo_key(&cfg, "swim", &delta);
+        cfg.perturb = 0.07;
+        let b = memo_key(&cfg, "swim", &delta);
         assert_ne!(a, b);
     }
 

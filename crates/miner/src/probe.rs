@@ -11,8 +11,9 @@
 //! ([`CliffKind::Disagreement`]) or introduces a decisive mechanism-pair
 //! ordering flip that baseline does not have ([`CliffKind::RankFlip`]).
 
+use crate::mine::MineConfig;
 use crate::space::ConfigDelta;
-use microlib::{rank_by_speedup, run_analytic, ArtifactStore, Cell, SimError, SimOptions};
+use microlib::{rank_by_speedup, run_analytic, ArtifactStore, Cell, SimError};
 use microlib_mech::MechanismKind;
 use std::sync::Arc;
 
@@ -31,16 +32,6 @@ pub const DEFAULT_MECHANISMS: [MechanismKind; 5] = [
 /// rank-flip purposes — orderings inside the margin are noise, not
 /// disagreement.
 pub const RANK_MARGIN: f64 = 0.02;
-
-/// Reads the injected analytic-CPI perturbation from
-/// `MICROLIB_MINE_PERTURB` (fraction, default 0). Read per call so tests
-/// and the CI negative gate can toggle it without process restarts.
-pub fn perturb_from_env() -> f64 {
-    std::env::var("MICROLIB_MINE_PERTURB")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0.0)
-}
 
 /// One mechanism's measurements in both tiers.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -174,9 +165,10 @@ impl ProbeOutcome {
     }
 }
 
-/// Probes one cell: runs every mechanism of `mechanisms` (Base must come
-/// first) through the detailed simulator and the analytic tier under
-/// `delta` applied to the baseline, and compares the tiers.
+/// Probes one cell: runs every mechanism of `cfg.mechanisms` (Base must
+/// come first) through the detailed simulator and the analytic tier
+/// (its CPI scaled by `1 + cfg.perturb`) under `delta` applied to
+/// `cfg.base_opts`, and compares the tiers.
 ///
 /// Detailed runs go through [`ArtifactStore::run`], so they are memoized,
 /// lease-coordinated and fault-aware exactly like campaign cells; the
@@ -189,19 +181,19 @@ impl ProbeOutcome {
 /// cell).
 pub fn probe(
     store: &ArtifactStore,
+    cfg: &MineConfig,
     delta: &ConfigDelta,
     benchmark: &str,
-    mechanisms: &[MechanismKind],
-    base_opts: &SimOptions,
 ) -> Result<ProbeOutcome, SimError> {
+    let mechanisms = &cfg.mechanisms;
     assert_eq!(
         mechanisms.first(),
         Some(&MechanismKind::Base),
         "probe mechanism sets must lead with Base"
     );
-    let (config, opts) = delta.apply(base_opts);
+    let (config, opts) = delta.apply(&cfg.base_opts);
     let config = Arc::new(config);
-    let perturb = perturb_from_env();
+    let perturb = cfg.perturb;
 
     let mut raw = Vec::with_capacity(mechanisms.len());
     for &mech in mechanisms {

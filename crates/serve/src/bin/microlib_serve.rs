@@ -7,10 +7,13 @@
 //! ```
 //!
 //! Environment: `MICROLIB_SERVE_RESIDENT_MB` caps resident warm-state
-//! bytes (same as `--resident-mb`; the flag wins). SIGTERM/SIGINT drain
-//! gracefully: in-flight cells finish, the memo journal is fsynced,
-//! leases are released, then the process exits 0.
+//! bytes (same as `--resident-mb`; the flag wins), and the lease, fault
+//! and disk-cap knobs of [`microlib::Settings`] apply. A malformed
+//! `MICROLIB_*` value exits 2. SIGTERM/SIGINT drain gracefully: in-flight
+//! cells finish, the memo journal is fsynced, leases are released, then
+//! the process exits 0.
 
+use microlib::{CacheDir, Settings};
 use microlib_serve::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,16 +50,15 @@ fn usage() -> ! {
 }
 
 fn main() {
+    let mut settings = Settings::from_env().unwrap_or_else(|e| {
+        eprintln!("microlib-serve: {e}");
+        std::process::exit(2)
+    });
     let mut config = ServerConfig {
         cache_dir: Some(PathBuf::from(".microlib-cache")),
+        resident_cap_bytes: settings.serve_resident_mb.map(|mib| mib << 20),
         ..ServerConfig::default()
     };
-    if let Some(mib) = std::env::var("MICROLIB_SERVE_RESIDENT_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        config.resident_cap_bytes = Some(mib << 20);
-    }
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().unwrap_or_else(|| usage_for(flag));
@@ -73,8 +75,21 @@ fn main() {
             _ => usage(),
         }
     }
+    settings.threads = config.threads;
+    settings.cache_dir = config.cache_dir.clone().map_or(CacheDir::Off, CacheDir::At);
+    eprintln!(
+        "microlib-serve: settings: {settings} queue-cap={} resident-mb={}",
+        config.queue_cap,
+        config
+            .resident_cap_bytes
+            .map_or("unbounded".to_owned(), |b| (b >> 20).to_string())
+    );
+    if let Err(e) = microlib::fault::arm_from(&settings) {
+        eprintln!("microlib-serve: {e}");
+        std::process::exit(2);
+    }
     install_signal_handlers();
-    let mut server = match Server::start(config) {
+    let mut server = match Server::start_with_settings(config, &settings) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("microlib-serve: bind failed: {e}");

@@ -1,14 +1,19 @@
 //! A minimal JSON reader/writer — just enough for campaign specs and
 //! NDJSON result lines, std-only like the rest of the workspace.
 //!
-//! The parser is a plain recursive-descent over the RFC 8259 grammar;
-//! numbers are held as `f64` (campaign specs never need more than 53
+//! The parser is a plain recursive-descent over the RFC 8259 grammar,
+//! with arrays and objects nested at most 64 deep (so neither
+//! parsing nor dropping a hostile body can overflow the stack); numbers
+//! are held as `f64` (campaign specs never need more than 53
 //! bits — seeds beyond that are passed as hex strings). Output goes the
 //! other way through [`escape`], which produces the canonical minimal
 //! escaping (`"`, `\`, control characters).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,6 +42,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -89,6 +95,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -109,8 +117,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -118,6 +130,13 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -312,6 +331,16 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "nul", "1 2", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+        assert!(Json::parse(&"[".repeat(500_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(500_000)).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::metrics::Metrics;
 use crate::spec::{CampaignSpec, CellSpec, Class};
 use crate::{json, spec};
-use microlib::{ArtifactStore, FinishGuard, LeaseManager};
+use microlib::{ArtifactStore, CacheDir, FinishGuard, Settings};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,8 +47,8 @@ pub struct ServerConfig {
     /// coalescing extends across processes sharing the directory).
     /// `None` = memory-only store.
     pub cache_dir: Option<PathBuf>,
-    /// Byte cap for warm states kept resident between requests
-    /// (`MICROLIB_SERVE_RESIDENT_MB`); `None` = unbounded.
+    /// Byte cap for warm states kept resident between requests; `None` =
+    /// unbounded.
     pub resident_cap_bytes: Option<u64>,
 }
 
@@ -114,21 +114,37 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listener, spawns the accept loop and worker pool, and
-    /// returns immediately. The daemon serves until
-    /// [`shutdown`](Server::shutdown) (or drop).
+    /// [`start_with_settings`](Server::start_with_settings) the default
+    /// settings.
     ///
     /// # Errors
     ///
     /// Any I/O error binding `config.addr`.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        let mut store = ArtifactStore::new();
-        if let Some(dir) = &config.cache_dir {
-            store = store
-                .with_disk_cache(dir.clone())
-                .with_lease_manager(LeaseManager::new(dir.clone()));
-        }
-        let store = Arc::new(store);
+        Self::start_with_settings(config, &Settings::default())
+    }
+
+    /// Binds the listener, spawns the accept loop and worker pool, and
+    /// returns immediately. The daemon serves until
+    /// [`shutdown`](Server::shutdown) (or drop). Its store always shares
+    /// artifacts and, with a cache directory, claims cells through
+    /// leases; `settings` supply the lease timeout, retry budget, worker
+    /// id, steal grace and warm-state disk cap.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error binding `config.addr`.
+    pub fn start_with_settings(
+        config: ServerConfig,
+        settings: &Settings,
+    ) -> std::io::Result<Server> {
+        let store = Arc::new(ArtifactStore::from_settings(&Settings {
+            artifacts: true,
+            cache_dir: config.cache_dir.clone().map_or(CacheDir::Off, CacheDir::At),
+            lease: true,
+            shard: None,
+            ..settings.clone()
+        }));
         if let Some(cap) = config.resident_cap_bytes {
             store.set_warm_resident_cap(cap);
         }

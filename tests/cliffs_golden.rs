@@ -16,8 +16,8 @@
 //!   cargo run --release --bin run_all -- --mine --mine-export cliffs-golden
 //! ```
 
-use microlib::{ArtifactStore, SimOptions};
-use microlib_miner::{perturb_from_env, probe, CliffRecord, ConfigDelta};
+use microlib::{ArtifactStore, Settings, SimOptions};
+use microlib_miner::{probe, CliffRecord, ConfigDelta, MineConfig};
 use microlib_trace::TraceWindow;
 use std::path::PathBuf;
 
@@ -75,33 +75,26 @@ fn corpus_is_nonempty_and_well_formed() {
 #[test]
 fn every_committed_cliff_reproduces_byte_identically() {
     let store = ArtifactStore::new();
+    let perturb = Settings::from_env().expect("MICROLIB_* parse").mine_perturb;
     let mut checked = 0usize;
     for (path, text) in corpus() {
         let golden =
             CliffRecord::parse(&text).unwrap_or_else(|| panic!("{} is malformed", path.display()));
-        let opts = SimOptions {
-            seed: golden.seed,
-            window: TraceWindow::new(golden.skip, golden.simulate),
-            ..SimOptions::default()
+        let cfg = MineConfig {
+            mechanisms: golden.mechanisms.clone(),
+            perturb,
+            ..MineConfig::standard(SimOptions {
+                seed: golden.seed,
+                window: TraceWindow::new(golden.skip, golden.simulate),
+                ..SimOptions::default()
+            })
         };
         let minimal = ConfigDelta::parse(&golden.minimal)
             .unwrap_or_else(|| panic!("{}: bad minimal delta", path.display()));
-        let baseline = probe(
-            &store,
-            &ConfigDelta::default(),
-            &golden.benchmark,
-            &golden.mechanisms,
-            &opts,
-        )
-        .unwrap_or_else(|e| panic!("{}: baseline probe failed: {e}", path.display()));
-        let cell = probe(
-            &store,
-            &minimal,
-            &golden.benchmark,
-            &golden.mechanisms,
-            &opts,
-        )
-        .unwrap_or_else(|e| panic!("{}: cell probe failed: {e}", path.display()));
+        let baseline = probe(&store, &cfg, &ConfigDelta::default(), &golden.benchmark)
+            .unwrap_or_else(|e| panic!("{}: baseline probe failed: {e}", path.display()));
+        let cell = probe(&store, &cfg, &minimal, &golden.benchmark)
+            .unwrap_or_else(|e| panic!("{}: cell probe failed: {e}", path.display()));
         let kind = cell.cliff_kind(&baseline, golden.bound).unwrap_or_else(|| {
             panic!("{}: the minimal delta is no longer a cliff", path.display())
         });
@@ -114,7 +107,7 @@ fn every_committed_cliff_reproduces_byte_identically() {
             golden.skip,
             golden.simulate,
             golden.bound,
-            perturb_from_env(),
+            perturb,
             baseline.max_rel_err,
             cell.divergence_shift(&baseline),
             &cell,

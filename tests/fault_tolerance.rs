@@ -63,7 +63,7 @@ fn assert_same_result(a: &RunResult, b: &RunResult) {
 #[test]
 fn fresh_lease_is_busy_and_stale_lease_is_reclaimed() {
     let dir = tmp_dir("stale-reclaim");
-    let mgr = LeaseManager::with_params(&dir, Duration::from_millis(500), 3);
+    let mgr = LeaseManager::new(&dir, Duration::from_millis(500), 3, "-");
     let key = "swim|Ghb|some-cell-key";
     let body = "microlib-lease v1\npid 999999\nworker 7\nattempts 1\nkey swim\n";
 
@@ -96,7 +96,7 @@ fn fresh_lease_is_busy_and_stale_lease_is_reclaimed() {
 #[test]
 fn torn_lease_body_is_governed_by_mtime() {
     let dir = tmp_dir("torn-lease");
-    let mgr = LeaseManager::with_params(&dir, Duration::from_millis(500), 3);
+    let mgr = LeaseManager::new(&dir, Duration::from_millis(500), 3, "-");
     let key = "gcc|Tcp|torn-lease-key";
     // Garbage content — a torn lease-file write. Fresh mtime must still
     // read as Busy (mtime is the liveness authority, not the body)…
@@ -114,7 +114,7 @@ fn torn_lease_body_is_governed_by_mtime() {
 #[test]
 fn clean_exit_sweep_releases_held_leases() {
     let dir = tmp_dir("release-owned");
-    let mgr = LeaseManager::with_params(&dir, Duration::from_secs(10), 3);
+    let mgr = LeaseManager::new(&dir, Duration::from_secs(10), 3, "-");
     let key = "swim|Base|sweep-key";
     let guard = match mgr.claim(key, "swim x Base", "repro") {
         Claim::Acquired(g) => g,
@@ -135,7 +135,7 @@ fn clean_exit_sweep_releases_held_leases() {
 #[test]
 fn abandoned_claims_count_toward_quarantine() {
     let dir = tmp_dir("quarantine");
-    let mgr = LeaseManager::with_params(&dir, Duration::from_secs(10), 2);
+    let mgr = LeaseManager::new(&dir, Duration::from_secs(10), 2, "-");
     let key = "mcf|Markov|poison-key";
 
     // Two claims that end crash-like (abandon keeps the attempt counter
@@ -194,7 +194,7 @@ fn single_flight_across_stores_computes_each_cell_once() {
     let store = |_: u32| {
         ArtifactStore::new()
             .with_disk_cache(&dir)
-            .with_lease_manager(LeaseManager::with_params(&dir, Duration::from_secs(10), 3))
+            .with_lease_manager(LeaseManager::new(&dir, Duration::from_secs(10), 3, "-"))
     };
     let (a, b) = (store(0), store(1));
     let (ra, rb) = std::thread::scope(|s| {
@@ -298,7 +298,7 @@ fn torn_memo_write_recovers_byte_identical() {
 fn torn_lease_write_still_coordinates() {
     let _guard = fault_guard();
     let dir = tmp_dir("torn-lease-write");
-    let mgr = LeaseManager::with_params(&dir, Duration::from_secs(10), 3);
+    let mgr = LeaseManager::new(&dir, Duration::from_secs(10), 3, "-");
     let key = "swim|Base|torn-write-key";
     fault::arm("lease-write:1:torn").unwrap();
     let guard = match mgr.claim(key, "cell", "repro") {
@@ -308,7 +308,7 @@ fn torn_lease_write_still_coordinates() {
     fault::disarm();
     // The torn lease body is half-written, but the file exists with a
     // fresh mtime: another claimer still reads Busy.
-    let other = LeaseManager::with_params(&dir, Duration::from_secs(10), 3);
+    let other = LeaseManager::new(&dir, Duration::from_secs(10), 3, "-");
     assert!(matches!(other.claim(key, "cell", "repro"), Claim::Busy));
     guard.complete();
     assert!(matches!(
@@ -327,7 +327,7 @@ fn panic_fault_abandons_the_lease_then_recovery_completes_the_cell() {
     let store = || {
         ArtifactStore::new()
             .with_disk_cache(&dir)
-            .with_lease_manager(LeaseManager::with_params(&dir, Duration::from_secs(10), 3))
+            .with_lease_manager(LeaseManager::new(&dir, Duration::from_secs(10), 3, "-"))
     };
 
     fault::arm("cell@swim+Base:1:panic").unwrap();
@@ -389,7 +389,7 @@ fn poison_cell_is_quarantined_and_the_rest_completes() {
     let store = || {
         ArtifactStore::new()
             .with_disk_cache(&dir)
-            .with_lease_manager(LeaseManager::with_params(&dir, Duration::from_secs(10), 2))
+            .with_lease_manager(LeaseManager::new(&dir, Duration::from_secs(10), 2, "-"))
     };
 
     // A poison cell: every claim of swim x Base panics ('*' = no one-shot

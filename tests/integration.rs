@@ -2,7 +2,7 @@
 //! hierarchy → mechanism → SDRAM) exercised end-to-end.
 //!
 //! Windows are kept small so the suite stays debug-build friendly; the
-//! experiment binaries in `crates/bench` are the full-scale runs.
+//! `run_all` experiments in `crates/bench` are the full-scale runs.
 
 use microlib::{
     run_one, ArtifactStore, Campaign, Cell, CellMechanism, ExperimentConfig, SamplingMode,

@@ -182,6 +182,25 @@ fn overload_rejects_with_retry_after() {
     drop(server);
 }
 
+/// A body nested deeper than the parser allows is a 400, not a stack
+/// overflow that takes the whole daemon down.
+#[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    match client
+        .campaign(&"[".repeat(500_000))
+        .expect("campaign request")
+    {
+        CampaignOutcome::Rejected(response) => assert_eq!(response.status, 400),
+        CampaignOutcome::Completed(_) => panic!("a 500 000-deep array was accepted"),
+    }
+    assert!(client.healthz().expect("healthz after the hostile body"));
+    drop(server);
+}
+
 /// `/metrics` counters move exactly with the requests served, the
 /// gauges settle to zero when the daemon is idle, and the store's
 /// counters agree with what the campaign actually computed.
