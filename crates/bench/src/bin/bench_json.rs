@@ -1,43 +1,57 @@
-//! Simulator-throughput measurement for the committed perf trajectory.
+//! The workspace's perf harness. It times every row of [`benches`] with a
+//! plain best-of-batches loop and writes machine-readable rows, so every
+//! PR can commit a `BENCH_<pr>.json` snapshot and CI can fail on
+//! throughput regressions the same way the golden gate fails on CPI drift.
 //!
-//! The criterion benches (`cargo bench -p microlib-bench`) are the
-//! interactive tool; this binary is the *recorded* one: it times the same
-//! `simulator/*` workloads — plus the memory-side substrate benches the
-//! hot loop is built from — with a plain best-of-batches harness and
-//! writes machine-readable rows, so every PR can commit a
-//! `BENCH_<pr>.json` snapshot and CI can fail on throughput regressions
-//! the same way the golden gate fails on CPI drift.
+//! Row families (the table in [`benches`] is the only list):
+//!
+//! - `simulator/swim_{Base,GHB}_5k_insts`: end-to-end detailed
+//!   simulation; the Base row is the headline the gate tracks tightest.
+//! - `cache_array/*`, `mshr_insert_complete_x8`, `sdram/row_hit_stream_32`:
+//!   the memory-side substrate the hot loop is built from.
+//! - `warmup/warm_inst_10k`: the functional warm loop every cell pays.
+//! - `workload/<benchmark>_{gen,replay}_10k`: trace generation and replay.
+//! - `mechanism_on_access/<mechanism>`, `mechanism_on_refill/<mechanism>`:
+//!   the per-event hook cost a MicroLib user pays for plugging a mechanism
+//!   into their own simulator.
+//! - `serve/cell_query_warm`: one memo-hit query through the daemon.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_json --out BENCH_8.json    # measure, write the trajectory rows
-//! bench_json --check [dir]         # measure, compare against the latest
-//!                                  # committed BENCH_*.json in dir (default
-//!                                  # "."); exit 1 if the headline bench
-//!                                  # regresses more than 15% in insts/s, or
-//!                                  # any other shared row more than 30%.
-//!                                  # Skips (exit 0) when no baseline exists.
+//! bench_json --out BENCH_18.json   # measure every row, write the trajectory
+//! bench_json --check [dir]         # measure every row, then compare against
+//!                                  # the latest committed BENCH_*.json in dir
+//!                                  # (default "."); exit 1 if the headline
+//!                                  # regresses more than 15% in insts/s, any
+//!                                  # other shared row more than 30%, or a
+//!                                  # baseline row is no longer measured.
+//!                                  # With no baseline the rows still run (a
+//!                                  # broken row panics) and the gate passes.
 //! ```
 //!
 //! Row format (one JSON object per line, inside a top-level array):
-//! `{"bench": ..., "ns_per_iter": ..., "insts_per_s": ...}`. For substrate
-//! rows `insts_per_s` is operations per second (lookups, MSHR round trips,
-//! SDRAM requests, warm instructions) — same field, same gate arithmetic.
+//! `{"bench": ..., "ns_per_iter": ..., "insts_per_s": ...}`. For rows other
+//! than `simulator/*`, `insts_per_s` is operations per second (lookups,
+//! MSHR round trips, SDRAM requests, hook calls, queries): same field,
+//! same gate arithmetic.
 
 use microlib::{run_one, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_mem::{CacheArray, MemToken, MemorySystem, MshrFile, MshrTarget, Sdram};
-use microlib_model::{Addr, CacheConfig, Cycle, LineData, SdramConfig, SystemConfig};
+use microlib_model::{
+    AccessEvent, AccessKind, AccessOutcome, Addr, CacheConfig, Cycle, LineData, PrefetchQueue,
+    RefillCause, RefillEvent, SdramConfig, SystemConfig,
+};
 use microlib_serve::{CampaignOutcome, Client, Server, ServerConfig};
 use microlib_trace::{benchmarks, TraceBuffer, TraceWindow, Workload};
+use std::hint::black_box;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Instructions simulated per iteration (matches the criterion benches).
+/// Instructions simulated per `simulator/*` iteration.
 const INSTS: u64 = 5_000;
-/// The bench the CI regression gate tracks most tightly.
-const HEADLINE: &str = "simulator/swim_Base_5k_insts";
 /// Minimum acceptable fraction of the baseline's rate for the headline.
 const FLOOR: f64 = 0.85;
 /// Minimum acceptable fraction for every other shared row. Substrate
@@ -46,27 +60,33 @@ const FLOOR: f64 = 0.85;
 /// accidental re-quadratization), not single-digit noise.
 const SUBSTRATE_FLOOR: f64 = 0.70;
 
-/// Every row this binary measures, in emission order.
-const BENCHES: &[&str] = &[
-    "simulator/swim_Base_5k_insts",
-    "simulator/swim_GHB_5k_insts",
-    "cache_array/l1_lookup_hit_1k",
-    "mshr_insert_complete_x8",
-    "sdram/row_hit_stream_32",
-    "warmup/warm_inst_10k",
-    "serve/cell_query_warm",
-];
-
-struct Row {
-    bench: String,
-    ns_per_iter: u64,
-    insts_per_s: u64,
+/// One trajectory row.
+struct Bench {
+    name: String,
+    /// Gate tolerance: the fraction of the baseline rate this row must keep.
+    floor: f64,
+    /// Operations per timed call: the `insts_per_s` numerator.
+    elements: u64,
+    /// Sets up, warms up and times the workload; returns ns per call.
+    measure: Box<dyn Fn() -> f64>,
 }
 
-/// Best (lowest mean) of `batches` fixed-size batches of `iters` calls —
-/// the minimum over batches discards scheduling noise, which only ever
-/// adds time. Returns ns per call.
-fn best_of(batches: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+fn bench(name: impl Into<String>, elements: u64, measure: impl Fn() -> f64 + 'static) -> Bench {
+    Bench {
+        name: name.into(),
+        floor: SUBSTRATE_FLOOR,
+        elements,
+        measure: Box::new(measure),
+    }
+}
+
+/// `warmup` untimed calls, then the best (lowest mean) of `batches`
+/// fixed-size batches of `iters` calls — the minimum over batches discards
+/// scheduling noise, which only ever adds time. Returns ns per call.
+fn best_of(warmup: usize, batches: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..warmup {
+        f();
+    }
     let mut best_ns = f64::INFINITY;
     for _ in 0..batches {
         let t = Instant::now();
@@ -78,126 +98,211 @@ fn best_of(batches: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     best_ns
 }
 
-fn row(bench: &str, elements: u64, best_ns: f64) -> Row {
-    Row {
-        bench: bench.to_owned(),
-        ns_per_iter: best_ns.round() as u64,
-        insts_per_s: (elements as f64 * 1e9 / best_ns).round() as u64,
+/// Every row this binary measures, in emission order.
+fn benches() -> Vec<Bench> {
+    let mut rows = vec![
+        Bench {
+            floor: FLOOR,
+            ..bench("simulator/swim_Base_5k_insts", INSTS, || {
+                simulate(MechanismKind::Base)
+            })
+        },
+        bench("simulator/swim_GHB_5k_insts", INSTS, || {
+            simulate(MechanismKind::Ghb)
+        }),
+        // Resident-line lookups over the flat L1D columns (the per-access
+        // inner loop of every simulated load).
+        bench("cache_array/l1_lookup_hit_1k", 1024, || {
+            let mut cache = CacheArray::new(CacheConfig::baseline_l1d()).unwrap();
+            for i in 0..1024u64 {
+                cache.fill(Addr::new(i * 32), LineData::zeroed(4), false, false);
+            }
+            best_of(3, 5, 500, || {
+                for i in 0..1024u64 {
+                    black_box(cache.lookup(Addr::new(i * 32)));
+                }
+            })
+        }),
+        // A never-ending stream of new lines: every fill evicts.
+        bench("cache_array/l1_fill_evict_1k", 1024, || {
+            let mut cache = CacheArray::new(CacheConfig::baseline_l1d()).unwrap();
+            let mut next = 0u64;
+            best_of(3, 5, 200, || {
+                for _ in 0..1024 {
+                    next = next.wrapping_add(32);
+                    if !cache.contains(Addr::new(next)) {
+                        black_box(cache.fill(Addr::new(next), LineData::zeroed(4), false, false));
+                    }
+                }
+            })
+        }),
+        // Eight allocate/complete round trips through the fixed-slot MSHR
+        // arena.
+        bench("mshr_insert_complete_x8", 8, || {
+            let mut m = MshrFile::new(8, 4);
+            m.set_model_busy_cycle(false);
+            let t = |a: u64| MshrTarget {
+                req: None,
+                addr: Addr::new(a),
+                is_store: false,
+                value: 0,
+            };
+            let mut targets = Vec::new();
+            best_of(3, 5, 20_000, || {
+                for i in 0..8u64 {
+                    black_box(m.try_insert(
+                        Addr::new(i * 64),
+                        t(i * 64),
+                        false,
+                        false,
+                        Cycle::ZERO,
+                    ));
+                }
+                for i in 0..8u64 {
+                    black_box(m.complete_into(Addr::new(i * 64), &mut targets));
+                }
+            })
+        }),
+        // A row-hit request stream through the SDRAM bank state machine,
+        // including the idle ticks the next-ready fast path skips.
+        bench("sdram/row_hit_stream_32", 32, || {
+            let mut done_buf = Vec::new();
+            best_of(3, 5, 500, || {
+                let mut mem = Sdram::new(SdramConfig::baseline());
+                for i in 0..32u64 {
+                    mem.try_push(MemToken(i), Addr::new(i * 64), false, Cycle::new(i));
+                }
+                let mut done = 0;
+                let mut now = 0;
+                while done < 32 {
+                    done_buf.clear();
+                    mem.tick_into(Cycle::new(now), &mut done_buf);
+                    done += done_buf.len();
+                    now += 1;
+                }
+                black_box(now);
+            })
+        }),
+        // The functional warm loop: the skip phase every cell pays before
+        // detailed simulation starts.
+        bench("warmup/warm_inst_10k", 10_000, || {
+            let cfg = Arc::new(SystemConfig::baseline());
+            let workload = Workload::new(benchmarks::by_name("swim").unwrap(), 1);
+            let buf = Arc::new(TraceBuffer::capture(&workload, 10_000));
+            best_of(2, 5, 8, || {
+                let mut mem = MemorySystem::new(Arc::clone(&cfg), Vec::new()).unwrap();
+                workload.initialize(mem.functional_mut());
+                for inst in TraceBuffer::replay(&buf) {
+                    mem.warm_inst(inst.pc, inst.warm_mem_ref());
+                }
+                black_box(mem.finish_warmup());
+            })
+        }),
+    ];
+    for name in ["swim", "mcf", "gzip"] {
+        let workload = move || Workload::new(benchmarks::by_name(name).unwrap(), 1);
+        rows.push(bench(
+            format!("workload/{name}_gen_10k"),
+            10_000,
+            move || {
+                let w = workload();
+                best_of(3, 5, 20, || {
+                    let n = w
+                        .stream()
+                        .take(10_000)
+                        .fold(0u64, |n, inst| n.wrapping_add(inst.pc.raw()));
+                    black_box(n);
+                })
+            },
+        ));
+        rows.push(bench(
+            format!("workload/{name}_replay_10k"),
+            10_000,
+            move || {
+                let buf = Arc::new(TraceBuffer::capture(&workload(), 10_000));
+                best_of(3, 5, 50, || {
+                    let n = TraceBuffer::replay(&buf)
+                        .fold(0u64, |n, inst| n.wrapping_add(inst.pc.raw()));
+                    black_box(n);
+                })
+            },
+        ));
     }
+    for kind in MechanismKind::study_set() {
+        rows.push(bench(
+            format!("mechanism_on_access/{kind}"),
+            1_000,
+            move || on_access(kind),
+        ));
+    }
+    for kind in [MechanismKind::Cdp, MechanismKind::Tk, MechanismKind::Markov] {
+        rows.push(bench(
+            format!("mechanism_on_refill/{kind}"),
+            1_000,
+            move || on_refill(kind),
+        ));
+    }
+    rows.push(bench("serve/cell_query_warm", 1, serve_query));
+    rows
 }
 
-/// Times one simulator config: warmup, then best-of-batches.
-fn measure_simulator(kind: MechanismKind) -> Row {
+/// One swim cell of `INSTS` detailed instructions.
+fn simulate(kind: MechanismKind) -> f64 {
     let cfg = SystemConfig::baseline();
     let opts = SimOptions {
         window: TraceWindow::new(2_000, INSTS),
         ..SimOptions::default()
     };
-    for _ in 0..3 {
-        std::hint::black_box(run_one(&cfg, kind, "swim", &opts).unwrap());
-    }
-    let best_ns = best_of(5, 16, || {
-        std::hint::black_box(run_one(&cfg, kind, "swim", &opts).unwrap());
-    });
-    row(&format!("simulator/swim_{kind}_5k_insts"), INSTS, best_ns)
+    best_of(3, 5, 16, || {
+        black_box(run_one(&cfg, kind, "swim", &opts).unwrap());
+    })
 }
 
-/// 1024 resident-line lookups over the flat L1D columns (the per-access
-/// inner loop of every simulated load).
-fn measure_cache_array() -> Row {
-    let mut cache = CacheArray::new(CacheConfig::baseline_l1d()).unwrap();
-    for i in 0..1024u64 {
-        cache.fill(Addr::new(i * 32), LineData::zeroed(4), false, false);
-    }
-    let mut pass = || {
-        for i in 0..1024u64 {
-            std::hint::black_box(cache.lookup(Addr::new(i * 32)));
+/// 1000 accesses (every third a miss) through `kind`'s access hook.
+fn on_access(kind: MechanismKind) -> f64 {
+    let mut mech = kind.build();
+    let mut queue = PrefetchQueue::new(mech.request_queue_capacity());
+    best_of(3, 5, 100, || {
+        for i in 0..1_000u64 {
+            let ev = AccessEvent {
+                now: Cycle::new(i),
+                pc: Addr::new(0x40_0000 + (i % 64) * 4),
+                addr: Addr::new(0x10_0000 + i * 64),
+                line: Addr::new(0x10_0000 + i * 64),
+                kind: AccessKind::Load,
+                outcome: if i.is_multiple_of(3) {
+                    AccessOutcome::Miss
+                } else {
+                    AccessOutcome::Hit
+                },
+                first_touch_of_prefetch: false,
+                value: Some(i),
+            };
+            mech.on_access(&ev, &mut queue);
+            queue.clear();
         }
-    };
-    for _ in 0..3 {
-        pass();
-    }
-    let best_ns = best_of(5, 500, pass);
-    row("cache_array/l1_lookup_hit_1k", 1024, best_ns)
+    })
 }
 
-/// Eight allocate/complete round trips through the fixed-slot MSHR arena.
-fn measure_mshr() -> Row {
-    let mut m = MshrFile::new(8, 4);
-    m.set_model_busy_cycle(false);
-    let t = |a: u64| MshrTarget {
-        req: None,
-        addr: Addr::new(a),
-        is_store: false,
-        value: 0,
-    };
-    let mut targets = Vec::new();
-    let mut pass = || {
-        for i in 0..8u64 {
-            std::hint::black_box(m.try_insert(
-                Addr::new(i * 64),
-                t(i * 64),
-                false,
-                false,
-                Cycle::ZERO,
-            ));
+/// 1000 demand refills of pointer-bearing lines through `kind`'s refill
+/// hook.
+fn on_refill(kind: MechanismKind) -> f64 {
+    let mut mech = kind.build();
+    let mut queue = PrefetchQueue::new(mech.request_queue_capacity());
+    let data = LineData::from_words(&[0x4000_0040, 0, 1, 2, 3, 4, 5, 6]);
+    best_of(3, 5, 100, || {
+        for i in 0..1_000u64 {
+            let ev = RefillEvent {
+                now: Cycle::new(i),
+                line: Addr::new(0x4000_0000 + i * 64),
+                data,
+                cause: RefillCause::Demand,
+            };
+            mech.on_refill(&ev, &mut queue);
+            queue.clear();
         }
-        for i in 0..8u64 {
-            std::hint::black_box(m.complete_into(Addr::new(i * 64), &mut targets));
-        }
-    };
-    for _ in 0..3 {
-        pass();
-    }
-    let best_ns = best_of(5, 20_000, pass);
-    row("mshr_insert_complete_x8", 8, best_ns)
-}
-
-/// A 32-request row-hit stream through the SDRAM bank state machine,
-/// including the idle ticks the next-ready fast path skips.
-fn measure_sdram() -> Row {
-    let mut done_buf = Vec::new();
-    let mut pass = || {
-        let mut mem = Sdram::new(SdramConfig::baseline());
-        for i in 0..32u64 {
-            mem.try_push(MemToken(i), Addr::new(i * 64), false, Cycle::new(i));
-        }
-        let mut done = 0;
-        let mut now = 0;
-        while done < 32 {
-            done_buf.clear();
-            mem.tick_into(Cycle::new(now), &mut done_buf);
-            done += done_buf.len();
-            now += 1;
-        }
-        std::hint::black_box(now);
-    };
-    for _ in 0..3 {
-        pass();
-    }
-    let best_ns = best_of(5, 500, pass);
-    row("sdram/row_hit_stream_32", 32, best_ns)
-}
-
-/// 10k instructions through the functional warm loop (the skip phase every
-/// cell pays before detailed simulation starts).
-fn measure_warm() -> Row {
-    let cfg: Arc<SystemConfig> = Arc::new(SystemConfig::baseline());
-    let workload = Workload::new(benchmarks::by_name("swim").unwrap(), 1);
-    let buf = Arc::new(TraceBuffer::capture(&workload, 10_000));
-    let pass = || {
-        let mut mem = MemorySystem::new(Arc::clone(&cfg), Vec::new()).unwrap();
-        workload.initialize(mem.functional_mut());
-        for inst in TraceBuffer::replay(&buf) {
-            mem.warm_inst(inst.pc, inst.warm_mem_ref());
-        }
-        std::hint::black_box(mem.finish_warmup());
-    };
-    for _ in 0..2 {
-        pass();
-    }
-    let best_ns = best_of(5, 8, pass);
-    row("warmup/warm_inst_10k", 10_000, best_ns)
+        black_box(mech.stats());
+    })
 }
 
 /// One warm-cache single-cell campaign query through the full HTTP path:
@@ -205,9 +310,8 @@ fn measure_warm() -> Row {
 /// computes and memoizes the cell; every timed iteration is a memo hit,
 /// so this row tracks the *service* overhead (spec parse, queueing,
 /// scheduling, socket round trip), which is what a regression gate over
-/// the daemon should watch. `insts_per_s` is queries per second — same
-/// field, same gate arithmetic as the substrate rows.
-fn measure_serve() -> Row {
+/// the daemon should watch.
+fn serve_query() -> f64 {
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         threads: 2,
@@ -220,45 +324,32 @@ fn measure_serve() -> Row {
     let spec = format!(
         r#"{{"benchmarks":["swim"],"mechanisms":["Base"],"window":{{"skip":2000,"simulate":{INSTS}}}}}"#
     );
-    let pass = || {
+    best_of(3, 5, 50, || {
         match client.campaign(&spec).expect("serve bench query") {
             CampaignOutcome::Completed(lines) => assert_eq!(lines.len(), 1),
             CampaignOutcome::Rejected(r) => panic!("serve bench rejected: {}", r.status),
         };
+    })
+}
+
+struct Row<'a> {
+    bench: &'a Bench,
+    ns_per_iter: u64,
+    insts_per_s: u64,
+}
+
+fn measure(bench: &Bench) -> Row<'_> {
+    let best_ns = (bench.measure)();
+    let row = Row {
+        bench,
+        ns_per_iter: best_ns.round() as u64,
+        insts_per_s: (bench.elements as f64 * 1e9 / best_ns).round() as u64,
     };
-    for _ in 0..3 {
-        pass();
-    }
-    let best_ns = best_of(5, 50, pass);
-    drop(server);
-    row("serve/cell_query_warm", 1, best_ns)
-}
-
-fn measure_named(bench: &str) -> Row {
-    match bench {
-        "simulator/swim_Base_5k_insts" => measure_simulator(MechanismKind::Base),
-        "simulator/swim_GHB_5k_insts" => measure_simulator(MechanismKind::Ghb),
-        "cache_array/l1_lookup_hit_1k" => measure_cache_array(),
-        "mshr_insert_complete_x8" => measure_mshr(),
-        "sdram/row_hit_stream_32" => measure_sdram(),
-        "warmup/warm_inst_10k" => measure_warm(),
-        "serve/cell_query_warm" => measure_serve(),
-        other => panic!("unknown bench {other}"),
-    }
-}
-
-fn measure_all() -> Vec<Row> {
-    BENCHES
-        .iter()
-        .map(|bench| {
-            let row = measure_named(bench);
-            eprintln!(
-                "{}: {} ns/iter ({} insts/s)",
-                row.bench, row.ns_per_iter, row.insts_per_s
-            );
-            row
-        })
-        .collect()
+    eprintln!(
+        "{}: {} ns/iter ({} insts/s)",
+        bench.name, row.ns_per_iter, row.insts_per_s
+    );
+    row
 }
 
 fn to_json(rows: &[Row]) -> String {
@@ -266,7 +357,7 @@ fn to_json(rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
             "  {{\"bench\": \"{}\", \"ns_per_iter\": {}, \"insts_per_s\": {}}}{}\n",
-            r.bench,
+            r.bench.name,
             r.ns_per_iter,
             r.insts_per_s,
             if i + 1 < rows.len() { "," } else { "" }
@@ -277,8 +368,8 @@ fn to_json(rows: &[Row]) -> String {
 }
 
 /// Finds the highest-numbered `BENCH_<n>.json` in `dir`.
-fn latest_baseline(dir: &str) -> Option<std::path::PathBuf> {
-    let mut best: Option<(u64, std::path::PathBuf)> = None;
+fn latest_baseline(dir: &Path) -> Option<PathBuf> {
+    let mut best: Option<(u64, PathBuf)> = None;
     for entry in std::fs::read_dir(dir).ok()? {
         let Ok(entry) = entry else { continue };
         let path = entry.path();
@@ -298,41 +389,59 @@ fn latest_baseline(dir: &str) -> Option<std::path::PathBuf> {
     best.map(|(_, p)| p)
 }
 
-/// Pulls `insts_per_s` for `bench` out of a trajectory file. The files are
-/// written by this binary (one object per line), so a line scan suffices.
-fn baseline_insts_per_s(text: &str, bench: &str) -> Option<f64> {
-    let line = text
-        .lines()
-        .find(|l| l.contains(&format!("\"bench\": \"{bench}\"")))?;
-    let tail = line.split("\"insts_per_s\":").nth(1)?;
-    tail.trim()
-        .trim_end_matches(['}', ',', ' '])
-        .parse::<f64>()
-        .ok()
+/// `(bench, insts_per_s)` for every row of a trajectory file. The files
+/// are written by this binary (one object per line), so a line scan
+/// suffices.
+///
+/// # Panics
+///
+/// On a row line that does not parse.
+fn baseline_rows(text: &str) -> impl Iterator<Item = (&str, f64)> {
+    text.lines()
+        .filter(|l| l.contains("\"bench\":"))
+        .map(|line| {
+            let parsed = (|| {
+                let name = line.split("\"bench\": \"").nth(1)?.split('"').next()?;
+                let rate = line.split("\"insts_per_s\":").nth(1)?;
+                let rate = rate.trim().trim_end_matches(['}', ',', ' ']).parse().ok()?;
+                Some((name, rate))
+            })();
+            parsed.unwrap_or_else(|| panic!("malformed baseline row: {line}"))
+        })
 }
 
-fn check(dir: &str) {
+/// `insts_per_s` of the row named exactly `bench`.
+fn baseline_insts_per_s(text: &str, bench: &str) -> Option<f64> {
+    baseline_rows(text).find_map(|(name, rate)| (name == bench).then_some(rate))
+}
+
+fn check(dir: &Path) {
+    let benches = benches();
+    // Measure first, so a broken row fails the gate even with no baseline.
+    let rows: Vec<Row> = benches.iter().map(measure).collect();
     let Some(baseline_path) = latest_baseline(dir) else {
-        eprintln!("no BENCH_*.json baseline under {dir}; skipping check");
+        eprintln!(
+            "no BENCH_*.json baseline under {}; skipping check",
+            dir.display()
+        );
         return;
     };
     let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
-    let rows = measure_all();
     let mut failed = false;
+    for (name, _) in baseline_rows(&text) {
+        if !benches.iter().any(|b| b.name == name) {
+            eprintln!("FAIL: {name}: baseline row is no longer measured");
+            failed = true;
+        }
+    }
     for r in &rows {
-        // Rows absent from the baseline (older snapshots predate the
-        // substrate rows) are skipped: the gate tightens as soon as a
-        // snapshot that has them is committed.
-        let Some(baseline) = baseline_insts_per_s(&text, &r.bench) else {
-            eprintln!("{}: no baseline row; skipped", r.bench);
+        // Rows absent from the baseline (new rows) are skipped: the gate
+        // tightens as soon as a snapshot that has them is committed.
+        let Some(baseline) = baseline_insts_per_s(&text, &r.bench.name) else {
+            eprintln!("{}: no baseline row; skipped", r.bench.name);
             continue;
         };
-        let tolerance = if r.bench == HEADLINE {
-            FLOOR
-        } else {
-            SUBSTRATE_FLOOR
-        };
-        let floor = baseline * tolerance;
+        let floor = baseline * r.bench.floor;
         let mut current = r.insts_per_s as f64;
         if current < floor {
             // A loaded machine slows every batch at once; one fresh
@@ -340,19 +449,22 @@ fn check(dir: &str) {
             // regression before failing the gate.
             eprintln!(
                 "{}: below floor ({current:.0} < {floor:.0}); re-measuring once",
-                r.bench
+                r.bench.name
             );
-            current = current.max(measure_named(&r.bench).insts_per_s as f64);
+            current = current.max(measure(r.bench).insts_per_s as f64);
         }
         let verdict = if current >= floor { "ok" } else { "FAIL" };
         eprintln!(
             "{verdict}: {} {current:.0} insts/s vs baseline {baseline:.0} (floor {floor:.0})",
-            r.bench
+            r.bench.name
         );
         failed |= current < floor;
     }
     if failed {
-        eprintln!("FAIL: throughput regressed vs {}", baseline_path.display());
+        eprintln!(
+            "FAIL: bench gate failed against {}",
+            baseline_path.display()
+        );
         std::process::exit(1);
     }
     eprintln!(
@@ -366,17 +478,106 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("--out") => {
             let path = args.get(1).expect("--out requires a path");
-            let rows = measure_all();
+            let benches = benches();
+            let rows: Vec<Row> = benches.iter().map(measure).collect();
             std::fs::write(path, to_json(&rows)).expect("write trajectory file");
             eprintln!("wrote {path}");
         }
-        Some("--check") => {
-            let dir = args.get(1).map(String::as_str).unwrap_or(".");
-            check(dir);
-        }
+        Some("--check") => check(Path::new(args.get(1).map_or(".", String::as_str))),
         _ => {
             eprintln!("usage: bench_json --out <file> | --check [dir]");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SNAPSHOT: &str = "[\n  \
+        {\"bench\": \"mechanism_on_access/TKVC\", \"ns_per_iter\": 10, \"insts_per_s\": 100},\n  \
+        {\"bench\": \"mechanism_on_access/TK\", \"ns_per_iter\": 20, \"insts_per_s\": 50}\n\
+        ]\n";
+
+    fn dir_with(tag: &str, files: &[&str]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "microlib-bench-json-test-{}-{tag}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in files {
+            std::fs::write(dir.join(f), "[\n]\n").unwrap();
+        }
+        dir
+    }
+
+    #[test]
+    fn latest_baseline_orders_by_number() {
+        let dir = dir_with("order", &["BENCH_8.json", "BENCH_10.json", "BENCH_9.json"]);
+        assert_eq!(latest_baseline(&dir), Some(dir.join("BENCH_10.json")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn latest_baseline_ignores_non_snapshots() {
+        let dir = dir_with(
+            "ignore",
+            &["BENCH_x.json", "BENCH_10.json.bak", "BENCH_9.json"],
+        );
+        assert_eq!(latest_baseline(&dir), Some(dir.join("BENCH_9.json")));
+        std::fs::remove_file(dir.join("BENCH_9.json")).unwrap();
+        assert_eq!(latest_baseline(&dir), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn baseline_reads_the_last_row_without_a_trailing_comma() {
+        assert_eq!(
+            baseline_insts_per_s(SNAPSHOT, "mechanism_on_access/TK"),
+            Some(50.0)
+        );
+    }
+
+    #[test]
+    fn baseline_missing_row_is_none() {
+        assert_eq!(
+            baseline_insts_per_s(SNAPSHOT, "mechanism_on_access/CDP"),
+            None
+        );
+        assert_eq!(
+            baseline_insts_per_s(SNAPSHOT, "mechanism_on_access/T"),
+            None
+        );
+    }
+
+    #[test]
+    fn baseline_name_match_is_exact() {
+        // TKVC comes first and has TK as a prefix: a prefix match would
+        // read 100 for TK.
+        assert_eq!(
+            baseline_insts_per_s(SNAPSHOT, "mechanism_on_access/TK"),
+            Some(50.0)
+        );
+        assert_eq!(
+            baseline_insts_per_s(SNAPSHOT, "mechanism_on_access/TKVC"),
+            Some(100.0)
+        );
+        let names: Vec<&str> = baseline_rows(SNAPSHOT).map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            ["mechanism_on_access/TKVC", "mechanism_on_access/TK"]
+        );
+    }
+
+    #[test]
+    fn every_row_name_is_unique() {
+        let benches = benches();
+        let mut names: Vec<&str> = benches.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names.len(), 30);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 30);
     }
 }

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 use microlib::{ArtifactStore, Campaign, ExperimentConfig, Matrix, Settings};
-use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 pub mod experiments;
@@ -37,11 +36,14 @@ fn sweep_logged(
     let campaign = Campaign::new(cfg.clone())
         .with_store(store)
         .with_progress(|u| {
-            eprint!(
-                "\r  [{}/{}] {} x {}        ",
-                u.completed, u.total, u.benchmark, u.mechanism
-            );
-            let _ = std::io::stderr().flush();
+            // One line per tenth of the campaign: `completed` is unique
+            // per cell, so each decile is crossed (and printed) once.
+            if u.completed * 10 / u.total > (u.completed - 1) * 10 / u.total {
+                eprintln!(
+                    "  [{}/{}] {} x {}",
+                    u.completed, u.total, u.benchmark, u.mechanism
+                );
+            }
         });
     eprintln!(
         "campaign: {} cells on {} threads",
@@ -52,7 +54,6 @@ fn sweep_logged(
         Ok(report) => report,
         Err(e) => panic!("campaign configuration rejected: {e}"),
     };
-    eprintln!();
     if report.failure_count() > 0 {
         for cell in report.failures() {
             let err = cell.outcome.as_ref().expect_err("failure cell");

@@ -188,6 +188,10 @@ fn manual_shards_share_one_cache_and_a_rerun_recomputes_nothing() {
         stderr.contains("recomputed 0 cells"),
         "warm rerun must be fully journal-served:\n{stderr}"
     );
+    assert!(
+        stderr.contains("campaign: ") && !stderr.contains('\r'),
+        "campaign progress is whole lines, never a \\r rewrite:\n{stderr}"
+    );
     for name in FILES {
         assert_identical(&golden, &rerun_out, name);
     }
