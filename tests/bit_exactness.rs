@@ -12,7 +12,7 @@
 use microlib::{run_one, RunResult, SamplingMode, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_mem::{capture_warm_state, FunctionalMemory, MemorySystem, WarmLog, WarmState};
-use microlib_model::{Encoder, SystemConfig};
+use microlib_model::{CacheStats, Encoder, SystemConfig};
 use microlib_trace::{benchmarks, SamplingPlan, TraceWindow, Workload};
 
 const SEEDS: [u64; 3] = [1, 2, 0xC0FFEE];
@@ -123,32 +123,38 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("Ghb", 12648430, "cyc=1684 com=800 fet=800 stalls=[0,1180,7,29,214,0,0] l1d=[222,113,55,0,59,11,15,3,53,0,0,28,0] l1i=[123,21] l2=[67,8,35,28] mem=[44,4212] mech=[271,318,12,4,0,0,0]"),
 ];
 
-/// Memory-side digest: the counters the SoA cache/MSHR/SDRAM arenas are
-/// responsible for, down to row-buffer behaviour. A layout change that
-/// perturbs MSHR slot reuse, bank scheduling order or writeback timing
-/// shows up here even when the core-side digest above stays green.
+/// Every [`CacheStats`] counter, in declaration order.
+fn cache_fields(c: &CacheStats) -> String {
+    format!(
+        "[{},{},{},{},{},{},{},{},{},{},{},{},{}]",
+        c.loads,
+        c.stores,
+        c.misses,
+        c.sidecar_hits,
+        c.mshr_merges,
+        c.mshr_full_stalls,
+        c.pipeline_stalls,
+        c.port_stalls,
+        c.demand_fills,
+        c.prefetch_fills,
+        c.useful_prefetches,
+        c.writebacks,
+        c.useless_prefetch_evictions,
+    )
+}
+
+/// Memory-side digest: every cache counter of the three caches, plus the
+/// SDRAM counters down to row-buffer behaviour. A layout or protocol change
+/// that perturbs MSHR slot reuse, sidecar swaps, buffer prefetches, bank
+/// scheduling order or writeback timing shows up here even when the
+/// core-side digest above stays green.
 fn mem_digest(r: &RunResult) -> String {
-    let d = &r.l1d;
-    let i = &r.l1i;
-    let l2 = &r.l2;
     let m = &r.memory;
     format!(
-        "l1d=[{},{},{},{},{},{}] l1i=[{},{}] l2=[{},{},{},{},{},{}] \
-         sdram=[{},{},{},{},{},{}]",
-        d.loads,
-        d.stores,
-        d.misses,
-        d.mshr_merges,
-        d.mshr_full_stalls,
-        d.writebacks,
-        i.loads,
-        i.misses,
-        l2.loads,
-        l2.stores,
-        l2.misses,
-        l2.writebacks,
-        l2.demand_fills,
-        l2.prefetch_fills,
+        "l1d={} l1i={} l2={} sdram=[{},{},{},{},{},{}]",
+        cache_fields(&r.l1d),
+        cache_fields(&r.l1i),
+        cache_fields(&r.l2),
         m.requests,
         m.total_latency,
         m.row_hits,
@@ -158,22 +164,56 @@ fn mem_digest(r: &RunResult) -> String {
     )
 }
 
-/// Recorded memory-hierarchy digests: (mechanism, seed, digest) over a
-/// window long enough to exercise SDRAM bank scheduling and writebacks.
+/// Recorded memory-hierarchy digests: (mechanism, seed, digest) for every
+/// study mechanism × every seed in [`SEEDS`], over a window long enough to
+/// exercise SDRAM bank scheduling and writebacks.
 const MEM_GOLDEN: &[(&str, u64, &str)] = &[
-    ("Base", 1, "l1d=[531,294,131,124,177,87] l1i=[309,8] l2=[118,17,42,87,42,0] sdram=[43,4449,13,26,425,910]"),
-    ("Base", 2, "l1d=[554,289,156,135,252,79] l1i=[304,7] l2=[131,31,43,79,42,0] sdram=[42,4422,13,25,425,1028]"),
-    ("Base", 12648430, "l1d=[561,290,131,151,144,80] l1i=[302,13] l2=[134,10,59,80,59,0] sdram=[60,5770,18,38,595,968]"),
-    ("Ghb", 1, "l1d=[531,294,132,125,132,88] l1i=[309,8] l2=[115,21,33,88,34,24] sdram=[59,6136,32,24,590,1318]"),
-    ("Ghb", 2, "l1d=[555,289,156,129,217,81] l1i=[304,7] l2=[130,32,30,81,32,30] sdram=[62,8215,37,21,620,1520]"),
-    ("Ghb", 12648430, "l1d=[564,290,131,148,67,80] l1i=[302,13] l2=[134,10,50,80,51,23] sdram=[75,8634,34,37,745,1645]"),
+    ("Base", 1, "l1d=[531,294,131,0,124,177,111,11,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4449,13,26,425,910]"),
+    ("Base", 2, "l1d=[554,289,156,0,135,252,44,16,153,0,0,79,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[131,31,43,0,9,0,0,0,42,0,0,79,0] sdram=[42,4422,13,25,425,1028]"),
+    ("Base", 12648430, "l1d=[561,290,131,0,151,144,52,15,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,59,0,17,0,0,0,59,0,0,80,0] sdram=[60,5770,18,38,595,968]"),
+    ("Tp", 1, "l1d=[532,294,135,0,131,76,33,14,132,0,0,89,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,23,29,0,7,0,0,0,30,34,14,89,2] sdram=[66,7531,37,26,660,1633]"),
+    ("Tp", 2, "l1d=[554,289,152,0,124,216,48,21,151,0,0,81,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[130,29,23,0,6,0,0,0,24,37,19,81,0] sdram=[61,7094,33,25,620,1755]"),
+    ("Tp", 12648430, "l1d=[564,290,133,0,150,42,47,12,133,0,0,81,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[136,10,33,0,19,23,0,0,42,36,17,81,0] sdram=[80,8744,41,36,800,1953]"),
+    ("Vc", 1, "l1d=[537,294,90,45,98,143,105,12,88,0,0,0,0] l1i=[309,0,10,0,0,0,0,94,10,0,0,0,0] l2=[94,6,45,0,9,0,0,0,43,0,0,64,0] sdram=[45,4583,13,29,450,881]"),
+    ("Vc", 2, "l1d=[554,289,82,92,81,99,26,13,81,0,0,0,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[86,3,43,0,9,0,0,0,42,0,0,48,0] sdram=[42,4541,13,25,425,1045]"),
+    ("Vc", 12648430, "l1d=[561,290,103,34,126,100,38,12,103,0,0,0,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[112,4,59,0,17,0,0,0,59,0,0,64,0] sdram=[60,5812,18,38,595,978]"),
+    ("Sp", 1, "l1d=[531,294,131,0,123,159,113,12,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,38,0,9,0,0,0,39,5,3,87,0] sdram=[45,4679,16,25,445,1061]"),
+    ("Sp", 2, "l1d=[553,289,158,0,128,235,47,17,155,0,0,80,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[130,34,33,0,11,0,0,0,35,7,7,80,0] sdram=[42,4608,14,24,425,1121]"),
+    ("Sp", 12648430, "l1d=[564,290,131,0,153,159,51,13,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,54,0,19,0,0,0,57,5,2,80,0] sdram=[63,6823,20,39,625,1434]"),
+    ("Markov", 1, "l1d=[531,294,119,13,118,178,110,13,114,40,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[151,13,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4455,13,26,425,908]"),
+    ("Markov", 2, "l1d=[555,289,131,32,117,182,39,13,129,69,0,81,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[193,20,43,0,9,0,0,0,42,0,0,81,0] sdram=[42,4580,13,25,425,1062]"),
+    ("Markov", 12648430, "l1d=[561,290,128,5,146,128,48,13,128,30,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[161,12,59,0,17,0,0,0,59,0,0,80,0] sdram=[60,5754,18,38,595,939]"),
+    ("Fvc", 1, "l1d=[531,294,131,0,124,177,111,11,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4449,13,26,425,910]"),
+    ("Fvc", 2, "l1d=[554,289,154,4,135,236,45,15,151,0,0,79,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[130,30,43,0,9,0,0,0,42,0,0,79,0] sdram=[42,4422,13,25,425,1028]"),
+    ("Fvc", 12648430, "l1d=[561,290,129,4,148,144,52,15,129,0,0,81,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[132,10,59,0,17,0,0,0,59,0,0,81,0] sdram=[60,5767,18,38,595,965]"),
+    ("Dbcp", 1, "l1d=[531,294,131,0,124,177,111,11,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4449,13,26,425,910]"),
+    ("Dbcp", 2, "l1d=[554,289,156,0,135,252,44,16,153,0,0,79,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[131,31,43,0,9,0,0,0,42,0,0,79,0] sdram=[42,4422,13,25,425,1028]"),
+    ("Dbcp", 12648430, "l1d=[561,290,131,0,151,144,52,15,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,59,0,17,0,0,0,59,0,0,80,0] sdram=[60,5770,18,38,595,968]"),
+    ("Tkvc", 1, "l1d=[532,294,115,18,107,264,220,11,110,0,0,52,0] l1i=[309,0,9,0,0,0,0,92,9,0,0,0,0] l2=[110,10,43,0,9,0,0,0,43,0,0,76,0] sdram=[48,4761,17,27,455,977]"),
+    ("Tkvc", 2, "l1d=[555,289,117,50,105,134,35,13,115,0,0,21,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[114,10,43,0,9,0,0,0,42,0,0,55,0] sdram=[42,4468,13,25,425,1028]"),
+    ("Tkvc", 12648430, "l1d=[561,290,125,9,146,141,49,16,125,0,0,59,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[132,6,59,0,17,0,0,0,59,0,0,71,0] sdram=[60,5753,18,38,595,950]"),
+    ("Tk", 1, "l1d=[531,294,131,0,124,177,111,11,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4449,13,26,425,910]"),
+    ("Tk", 2, "l1d=[554,289,156,0,135,252,44,16,153,0,0,79,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[131,31,43,0,9,0,0,0,42,0,0,79,0] sdram=[42,4422,13,25,425,1028]"),
+    ("Tk", 12648430, "l1d=[561,290,131,0,151,144,52,15,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,59,0,17,0,0,0,59,0,0,80,0] sdram=[60,5770,18,38,595,968]"),
+    ("Cdp", 1, "l1d=[531,294,131,0,124,177,111,11,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4449,13,26,425,910]"),
+    ("Cdp", 2, "l1d=[554,289,156,0,135,252,44,16,153,0,0,79,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[131,31,43,0,9,0,0,0,42,0,0,79,0] sdram=[42,4422,13,25,425,1028]"),
+    ("Cdp", 12648430, "l1d=[561,290,131,0,151,144,52,15,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,59,0,17,0,0,0,59,0,0,80,0] sdram=[60,5770,18,38,595,968]"),
+    ("CdpSp", 1, "l1d=[531,294,131,0,123,159,113,12,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,38,0,9,0,0,0,39,5,3,87,0] sdram=[45,4679,16,25,445,1061]"),
+    ("CdpSp", 2, "l1d=[555,289,158,0,127,230,47,17,155,0,0,80,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[130,34,32,0,11,0,0,0,34,8,8,80,0] sdram=[42,4740,14,24,425,1147]"),
+    ("CdpSp", 12648430, "l1d=[564,290,131,0,153,159,51,13,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,54,0,19,0,0,0,57,5,2,80,0] sdram=[63,6823,20,39,625,1434]"),
+    ("Tcp", 1, "l1d=[531,294,131,0,124,177,111,11,126,0,0,87,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[118,17,42,0,9,0,0,0,42,0,0,87,0] sdram=[43,4449,13,26,425,910]"),
+    ("Tcp", 2, "l1d=[554,289,156,0,135,252,44,16,153,0,0,79,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[131,31,43,0,9,0,0,0,42,0,0,79,0] sdram=[42,4422,13,25,425,1028]"),
+    ("Tcp", 12648430, "l1d=[561,290,131,0,151,144,52,15,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,59,0,17,0,0,0,59,0,0,80,0] sdram=[60,5770,18,38,595,968]"),
+    ("Ghb", 1, "l1d=[531,294,132,0,125,132,115,16,127,0,0,88,0] l1i=[309,0,8,0,0,0,0,92,8,0,0,0,0] l2=[115,21,33,0,9,0,0,0,34,24,8,88,0] sdram=[59,6136,32,24,590,1318]"),
+    ("Ghb", 2, "l1d=[555,289,156,0,129,217,49,19,154,0,0,81,0] l1i=[304,0,7,0,0,0,0,78,7,0,0,0,0] l2=[130,32,30,0,9,0,0,0,32,30,11,81,0] sdram=[62,8215,37,21,620,1520]"),
+    ("Ghb", 12648430, "l1d=[564,290,131,0,148,67,52,11,131,0,0,80,0] l1i=[302,0,13,0,0,0,0,68,13,0,0,0,0] l2=[134,10,50,0,13,24,0,0,51,23,8,80,0] sdram=[75,8634,34,37,745,1645]"),
 ];
 
 #[test]
 fn memory_hierarchy_stats_match_recorded_golden() {
     let record = std::env::var("MICROLIB_RECORD_FINGERPRINTS").is_ok();
     let mut missing = Vec::new();
-    for kind in [MechanismKind::Base, MechanismKind::Ghb] {
+    for kind in MechanismKind::study_set() {
         for seed in SEEDS {
             let opts = SimOptions {
                 seed,
