@@ -48,7 +48,7 @@ use microlib_trace::{benchmarks, TraceBuffer, TraceWindow, Workload};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Instructions simulated per `simulator/*` iteration.
 const INSTS: u64 = 5_000;
@@ -80,20 +80,49 @@ fn bench(name: impl Into<String>, elements: u64, measure: impl Fn() -> f64 + 'st
     }
 }
 
-/// `warmup` untimed calls, then the best (lowest mean) of `batches`
-/// fixed-size batches of `iters` calls — the minimum over batches discards
-/// scheduling noise, which only ever adds time. Returns ns per call.
-fn best_of(warmup: usize, batches: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+/// Timed batches per row; the row reports the best one.
+const BATCHES: usize = 5;
+/// Minimum wall time of one timed batch. Short batches fit inside a burst
+/// of host contention and come out uniformly slow; a batch this long
+/// outlasts such bursts, so the best of [`BATCHES`] sees a quiet stretch.
+const MIN_BATCH: Duration = Duration::from_millis(20);
+
+/// `warmup` untimed calls, then the best (lowest mean) of [`BATCHES`]
+/// batches, each repeating `f` until it has run for [`MIN_BATCH`] — the
+/// minimum over batches discards scheduling noise, which only ever adds
+/// time. The clock is read between chunks of calls sized to take about a
+/// sixteenth of a batch, so reading it adds nothing measurable to a call.
+/// Returns ns per call.
+fn best_of(warmup: usize, mut f: impl FnMut()) -> f64 {
     for _ in 0..warmup {
         f();
     }
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..batches {
+    let mut chunk = 1u64;
+    loop {
         let t = Instant::now();
-        for _ in 0..iters {
+        for _ in 0..chunk {
             f();
         }
-        best_ns = best_ns.min(t.elapsed().as_nanos() as f64 / iters as f64);
+        if t.elapsed() >= MIN_BATCH / 16 {
+            break;
+        }
+        chunk *= 2;
+    }
+    let mut best_ns = f64::INFINITY;
+    for _ in 0..BATCHES {
+        let t = Instant::now();
+        let mut calls = 0u64;
+        let elapsed = loop {
+            for _ in 0..chunk {
+                f();
+            }
+            calls += chunk;
+            let elapsed = t.elapsed();
+            if elapsed >= MIN_BATCH {
+                break elapsed;
+            }
+        };
+        best_ns = best_ns.min(elapsed.as_nanos() as f64 / calls as f64);
     }
     best_ns
 }
@@ -117,7 +146,7 @@ fn benches() -> Vec<Bench> {
             for i in 0..1024u64 {
                 cache.fill(Addr::new(i * 32), LineData::zeroed(4), false, false);
             }
-            best_of(3, 5, 500, || {
+            best_of(3, || {
                 for i in 0..1024u64 {
                     black_box(cache.lookup(Addr::new(i * 32)));
                 }
@@ -127,7 +156,7 @@ fn benches() -> Vec<Bench> {
         bench("cache_array/l1_fill_evict_1k", 1024, || {
             let mut cache = CacheArray::new(CacheConfig::baseline_l1d()).unwrap();
             let mut next = 0u64;
-            best_of(3, 5, 200, || {
+            best_of(3, || {
                 for _ in 0..1024 {
                     next = next.wrapping_add(32);
                     if !cache.contains(Addr::new(next)) {
@@ -148,15 +177,9 @@ fn benches() -> Vec<Bench> {
                 value: 0,
             };
             let mut targets = Vec::new();
-            best_of(3, 5, 20_000, || {
+            best_of(3, || {
                 for i in 0..8u64 {
-                    black_box(m.try_insert(
-                        Addr::new(i * 64),
-                        t(i * 64),
-                        false,
-                        false,
-                        Cycle::ZERO,
-                    ));
+                    black_box(m.try_insert(Addr::new(i * 64), t(i * 64), false, Cycle::ZERO));
                 }
                 for i in 0..8u64 {
                     black_box(m.complete_into(Addr::new(i * 64), &mut targets));
@@ -167,7 +190,7 @@ fn benches() -> Vec<Bench> {
         // including the idle ticks the next-ready fast path skips.
         bench("sdram/row_hit_stream_32", 32, || {
             let mut done_buf = Vec::new();
-            best_of(3, 5, 500, || {
+            best_of(3, || {
                 let mut mem = Sdram::new(SdramConfig::baseline());
                 for i in 0..32u64 {
                     mem.try_push(MemToken(i), Addr::new(i * 64), false, Cycle::new(i));
@@ -189,7 +212,7 @@ fn benches() -> Vec<Bench> {
             let cfg = Arc::new(SystemConfig::baseline());
             let workload = Workload::new(benchmarks::by_name("swim").unwrap(), 1);
             let buf = Arc::new(TraceBuffer::capture(&workload, 10_000));
-            best_of(2, 5, 8, || {
+            best_of(2, || {
                 let mut mem = MemorySystem::new(Arc::clone(&cfg), Vec::new()).unwrap();
                 workload.initialize(mem.functional_mut());
                 for inst in TraceBuffer::replay(&buf) {
@@ -206,7 +229,7 @@ fn benches() -> Vec<Bench> {
             10_000,
             move || {
                 let w = workload();
-                best_of(3, 5, 20, || {
+                best_of(3, || {
                     let n = w
                         .stream()
                         .take(10_000)
@@ -220,7 +243,7 @@ fn benches() -> Vec<Bench> {
             10_000,
             move || {
                 let buf = Arc::new(TraceBuffer::capture(&workload(), 10_000));
-                best_of(3, 5, 50, || {
+                best_of(3, || {
                     let n = TraceBuffer::replay(&buf)
                         .fold(0u64, |n, inst| n.wrapping_add(inst.pc.raw()));
                     black_box(n);
@@ -253,7 +276,7 @@ fn simulate(kind: MechanismKind) -> f64 {
         window: TraceWindow::new(2_000, INSTS),
         ..SimOptions::default()
     };
-    best_of(3, 5, 16, || {
+    best_of(3, || {
         black_box(run_one(&cfg, kind, "swim", &opts).unwrap());
     })
 }
@@ -262,7 +285,7 @@ fn simulate(kind: MechanismKind) -> f64 {
 fn on_access(kind: MechanismKind) -> f64 {
     let mut mech = kind.build();
     let mut queue = PrefetchQueue::new(mech.request_queue_capacity());
-    best_of(3, 5, 100, || {
+    best_of(3, || {
         for i in 0..1_000u64 {
             let ev = AccessEvent {
                 now: Cycle::new(i),
@@ -290,7 +313,7 @@ fn on_refill(kind: MechanismKind) -> f64 {
     let mut mech = kind.build();
     let mut queue = PrefetchQueue::new(mech.request_queue_capacity());
     let data = LineData::from_words(&[0x4000_0040, 0, 1, 2, 3, 4, 5, 6]);
-    best_of(3, 5, 100, || {
+    best_of(3, || {
         for i in 0..1_000u64 {
             let ev = RefillEvent {
                 now: Cycle::new(i),
@@ -324,7 +347,7 @@ fn serve_query() -> f64 {
     let spec = format!(
         r#"{{"benchmarks":["swim"],"mechanisms":["Base"],"window":{{"skip":2000,"simulate":{INSTS}}}}}"#
     );
-    best_of(3, 5, 50, || {
+    best_of(3, || {
         match client.campaign(&spec).expect("serve bench query") {
             CampaignOutcome::Completed(lines) => assert_eq!(lines.len(), 1),
             CampaignOutcome::Rejected(r) => panic!("serve bench rejected: {}", r.status),

@@ -133,11 +133,6 @@ impl Campaign {
         self.with_store(Arc::new(ArtifactStore::disabled()))
     }
 
-    /// The store the campaign's cells run through.
-    pub fn artifact_store(&self) -> &Arc<ArtifactStore> {
-        &self.store
-    }
-
     /// Installs a progress callback, invoked from worker threads after
     /// every cell.
     pub fn with_progress(
@@ -283,13 +278,6 @@ impl CampaignReport {
     /// Number of failed cells.
     pub fn failure_count(&self) -> usize {
         self.failures().count()
-    }
-
-    /// Sum of per-cell wall-clock times (the sweep's total CPU-side work;
-    /// wall-clock of the whole sweep is roughly this over the thread
-    /// count).
-    pub fn total_cell_time(&self) -> Duration {
-        self.cells.iter().map(|c| c.elapsed).sum()
     }
 
     /// Converts into the indexable [`Matrix`], surfacing the first failure

@@ -346,18 +346,6 @@ impl CacheArray {
         self.find(addr).map(|slot| self.data[slot])
     }
 
-    /// Marks the line containing `addr` dirty (writeback arriving from the
-    /// level above); returns `false` if absent.
-    pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        let Some(slot) = self.find(addr) else {
-            return false;
-        };
-        self.meta[slot] |= DIRTY;
-        #[cfg(debug_assertions)]
-        self.shadow.set_dirty(slot);
-        true
-    }
-
     /// Overwrites the whole line's data (writeback payload from above);
     /// the caller chooses whether this dirties the line.
     pub fn write_line(

@@ -109,9 +109,6 @@ enum L2Req {
         arrival: Cycle,
     },
     Writeback {
-        /// Kept for tracing/debug formatting of queued writebacks.
-        #[allow(dead_code)]
-        l2_line: Addr,
         arrival: Cycle,
     },
 }
@@ -181,26 +178,43 @@ impl CacheUnit {
         debug_assert!(self.port_available());
         self.ports_used += 1;
     }
+
+    /// Counts one demand load or store.
+    fn count(&mut self, kind: AccessKind) {
+        match kind {
+            AccessKind::Load => self.stats.loads += 1,
+            AccessKind::Store => self.stats.stores += 1,
+        }
+    }
 }
 
 struct MechSlot {
     mech: Box<dyn Mechanism>,
     queue: PrefetchQueue,
-    dropped_resident: u64,
-    drain_ok: u64,
-    drain_blocked: u64,
 }
 
-impl MechSlot {
-    fn new(mech: Box<dyn Mechanism>) -> Self {
-        let queue = PrefetchQueue::new(mech.request_queue_capacity());
-        MechSlot {
-            mech,
-            queue,
-            dropped_resident: 0,
-            drain_ok: 0,
-            drain_blocked: 0,
-        }
+/// An MSHR target with no CPU request to complete: a prefetch, or an L2
+/// miss on behalf of the L1.
+fn internal_target(line: Addr) -> MshrTarget {
+    MshrTarget {
+        req: None,
+        addr: line,
+        is_store: false,
+        value: 0,
+    }
+}
+
+/// Hands a line that just arrived to the slot's mechanism, if one is
+/// attached.
+fn refill(slot: &mut Option<MechSlot>, now: Cycle, line: Addr, data: LineData, cause: RefillCause) {
+    if let Some(slot) = slot {
+        let ev = RefillEvent {
+            now,
+            line,
+            data,
+            cause,
+        };
+        slot.mech.on_refill(&ev, &mut slot.queue);
     }
 }
 
@@ -270,7 +284,6 @@ pub struct MemorySystem {
     integrity: Option<IntegrityError>,
     check_values: bool,
     fault_drop_writebacks: bool,
-    trace_line: Option<Addr>,
     warming: bool,
     warm_prefetch_fill: bool,
     /// `(line, slot)` of the last warm instruction fetch that hit the
@@ -342,7 +355,8 @@ impl MemorySystem {
                     mech.attach_point()
                 )));
             }
-            *slot = Some(MechSlot::new(mech));
+            let queue = PrefetchQueue::new(mech.request_queue_capacity());
+            *slot = Some(MechSlot { mech, queue });
         }
         let fidelity = config.fidelity;
         Ok(MemorySystem {
@@ -380,7 +394,6 @@ impl MemorySystem {
             l1d_stats_base: CacheStats::default(),
             l1i_stats_base: CacheStats::default(),
             l2_stats_base: CacheStats::default(),
-            trace_line: None,
             config,
         })
     }
@@ -417,36 +430,6 @@ impl MemorySystem {
         self.integrity
     }
 
-    /// Debug aid: log every protocol action touching the 32-byte line that
-    /// contains `addr` to stderr.
-    pub fn set_trace_line(&mut self, addr: Option<Addr>) {
-        self.trace_line = addr.map(|a| a.line(self.config.l1d.line_bytes));
-    }
-
-    #[inline]
-    fn traced(&self, line: Addr) -> bool {
-        self.trace_line
-            .map(|t| {
-                t.line(self.config.l1d.line_bytes) == line.line(self.config.l1d.line_bytes)
-                    || t.line(self.config.l2.line_bytes) == line.line(self.config.l2.line_bytes)
-            })
-            .unwrap_or(false)
-    }
-
-    /// The message is built lazily: call sites run on the hit path, and
-    /// formatting must cost nothing when line tracing is off.
-    fn trace_event(&self, line: Addr, what: impl FnOnce() -> String) {
-        if self.traced(line) {
-            eprintln!("[{}] {:#x}: {}", self.now.raw(), line.raw(), what());
-        }
-    }
-
-    #[allow(dead_code)] // symmetry with fresh_token; used by extensions
-    fn fresh_req(&mut self) -> ReqId {
-        self.next_req += 1;
-        ReqId(self.next_req)
-    }
-
     fn fresh_token(&mut self) -> MemToken {
         self.next_token += 1;
         MemToken(self.next_token)
@@ -456,22 +439,37 @@ impl MemorySystem {
     // Data-coherent helpers (eager data, lazy timing).
     // ------------------------------------------------------------------
 
-    /// Reads the current 64-byte line value as seen below L1 (L2 if
-    /// present, else DRAM image).
-    #[allow(dead_code)] // useful for invariant checks and extensions
-    fn l2_or_dram_line(&self, l2_line: Addr) -> LineData {
-        self.l2
-            .array
-            .read_line(l2_line)
-            .unwrap_or_else(|| self.functional.dram().read_line(l2_line, 64))
+    /// Reads the current value of an L1 line as seen below the L1: its
+    /// part of the L2 line if that is resident, else the DRAM image.
+    fn line_below_l1(&self, l1_line: Addr) -> LineData {
+        let l2_bytes = self.config.l2.line_bytes;
+        match self.l2.array.read_line(l1_line.line(l2_bytes)) {
+            Some(l2data) => {
+                let off = (l1_line.offset_in_line(l2_bytes) / 8) as usize;
+                let words = (self.config.l1d.line_bytes / 8) as usize;
+                LineData::from_words(&l2data.words()[off..off + words])
+            }
+            None => self
+                .functional
+                .dram()
+                .read_line(l1_line, self.config.l1d.line_bytes),
+        }
+    }
+
+    /// Queues a memory transaction behind its transfer on the memory bus:
+    /// the 8-byte command of a read, or the data of a write.
+    fn send_to_memory(&mut self, l2_line: Addr, is_write: bool, bus_bytes: u64) {
+        self.mem_bus.reserve(self.now, bus_bytes);
+        self.mem_pending.push_back(MemReq {
+            l2_line,
+            is_write,
+            ready_at: self.mem_bus.busy_until(),
+        });
     }
 
     /// Applies a 32-byte writeback from L1 (or a sidecar spill) into the L2
     /// array, allocating on write if the line is absent (Table 1 policy).
     fn apply_writeback_to_l2(&mut self, l1_line: Addr, data: &LineData) {
-        self.trace_event(l1_line, || {
-            format!("writeback to L2 word0={:#x}", data.word(0))
-        });
         if self.fault_drop_writebacks {
             return;
         }
@@ -497,7 +495,6 @@ impl MemorySystem {
             // Timing: the writeback occupies the L1<->L2 bus.
             self.l1_l2_bus.reserve(self.now, data.byte_len());
             self.l2_queue.push_back(L2Req::Writeback {
-                l2_line,
                 arrival: self.l1_l2_bus.busy_until(),
             });
         }
@@ -507,7 +504,6 @@ impl MemorySystem {
     /// data), then write dirty data to the DRAM image and occupy the
     /// memory path.
     fn handle_l2_victim(&mut self, mut victim: Victim) {
-        self.trace_event(victim.line, || format!("L2 evict dirty={}", victim.dirty));
         // Back-invalidation can remove the warm fast paths' cached lines.
         self.warm_last_dline = None;
         self.warm_last_iline = None;
@@ -531,14 +527,7 @@ impl MemorySystem {
                 .dram_mut()
                 .write_line(victim.line, &victim.data);
             if !self.warming {
-                // Timing: memory-bus transfer + SDRAM write.
-                self.mem_bus.reserve(self.now, victim.data.byte_len());
-                let ready_at = self.mem_bus.busy_until();
-                self.mem_pending.push_back(MemReq {
-                    l2_line: victim.line,
-                    is_write: true,
-                    ready_at,
-                });
+                self.send_to_memory(victim.line, true, victim.data.byte_len());
             }
         }
         if victim.untouched_prefetch {
@@ -548,13 +537,6 @@ impl MemorySystem {
 
     /// Handles an L1D victim: offer to the mechanism, else write back.
     fn handle_l1_victim(&mut self, victim: Victim) {
-        self.trace_event(victim.line, || {
-            format!(
-                "L1 evict dirty={} word0={:#x}",
-                victim.dirty,
-                victim.data.word(0)
-            )
-        });
         if victim.untouched_prefetch {
             self.l1d.stats.useless_prefetch_evictions += 1;
         }
@@ -567,13 +549,6 @@ impl MemorySystem {
         };
         if let Some(slot) = &mut self.l1_mech {
             if slot.mech.on_evict(&ev) == VictimAction::Captured {
-                if self.traced(ev.line) {
-                    eprintln!(
-                        "[{}] {:#x}: victim CAPTURED by mechanism",
-                        self.now.raw(),
-                        ev.line.raw()
-                    );
-                }
                 return; // mechanism owns the line (and its dirty data) now
             }
         }
@@ -704,22 +679,13 @@ impl MemorySystem {
 
         if let Some((hit, value)) = hit_result {
             self.l1d.take_port();
-            self.trace_event(line, || format!("L1 {kind} hit at {:#x}", addr.raw()));
+            self.l1d.count(kind);
+            if hit.first_touch_of_prefetch {
+                self.l1d.stats.useful_prefetches += 1;
+            }
             match kind {
-                AccessKind::Load => {
-                    self.l1d.stats.loads += 1;
-                    if hit.first_touch_of_prefetch {
-                        self.l1d.stats.useful_prefetches += 1;
-                    }
-                    self.check_value(addr, value);
-                }
-                AccessKind::Store => {
-                    self.functional.store_architectural(addr, store_value);
-                    self.l1d.stats.stores += 1;
-                    if hit.first_touch_of_prefetch {
-                        self.l1d.stats.useful_prefetches += 1;
-                    }
-                }
+                AccessKind::Load => self.check_value(addr, value),
+                AccessKind::Store => self.functional.store_architectural(addr, store_value),
             }
             self.fire_l1_access(
                 pc,
@@ -730,146 +696,98 @@ impl MemorySystem {
                 hit.first_touch_of_prefetch,
                 value,
             );
-            Ok(IssueResult::Done {
+            return Ok(IssueResult::Done {
                 at: now + self.config.l1d.latency,
                 value,
-            })
-        } else {
-            // Miss path: sidecar probe first.
-            let probe = self
-                .l1_mech
-                .as_mut()
-                .and_then(|slot| slot.mech.probe(line, now));
-            if let Some(hit) = probe {
-                self.l1d.take_port();
-                self.trace_event(line, || {
-                    format!(
-                        "sidecar probe HIT ({kind}), dirty={} word0={:#x}",
-                        hit.dirty,
-                        hit.data.word(0)
-                    )
-                });
-                self.l1d.stats.sidecar_hits += 1;
-                match kind {
-                    AccessKind::Load => self.l1d.stats.loads += 1,
-                    AccessKind::Store => self.l1d.stats.stores += 1,
-                }
-                // Install the sidecar line into L1 (swap semantics), apply
-                // the access, and only then process the displaced victim —
-                // its writeback can cascade into an L2 eviction that
-                // back-invalidates the line we just installed.
-                let victim = self.l1d.array.fill(line, hit.data, hit.dirty, false);
-                let value = match kind {
-                    AccessKind::Load => {
-                        self.l1d.array.lookup(addr);
-                        let v = self.l1d.array.read_word(addr).expect("just filled");
-                        self.check_value(addr, v);
-                        v
-                    }
-                    AccessKind::Store => {
-                        self.functional.store_architectural(addr, store_value);
-                        self.l1d.array.lookup(addr);
-                        self.l1d.array.write_word(addr, store_value);
-                        store_value
-                    }
-                };
-                if let Some(v) = victim {
-                    self.handle_l1_victim(v);
-                }
-                self.fire_l1_access(
-                    pc,
-                    addr,
-                    line,
-                    kind,
-                    AccessOutcome::SidecarHit,
-                    false,
-                    value,
-                );
-                return Ok(IssueResult::Done {
-                    at: now + self.config.l1d.latency + hit.extra_latency,
-                    value,
-                });
-            }
-
-            // Real miss: goes through the MSHR.
-            let req = ReqId(self.next_req + 1);
-            let target = MshrTarget {
-                req: Some(req),
-                addr,
-                is_store: kind.is_store(),
-                value: store_value,
-            };
-            let had_entry = self.l1d.mshr.contains(line);
-            let was_prefetch = self.l1d.mshr.is_prefetch_inflight(line);
-            match self.l1d.mshr.try_insert(line, target, false, false, now) {
-                MshrOutcome::Allocated => {
-                    self.next_req += 1;
-                    self.l1d.take_port();
-                    self.trace_event(line, || {
-                        format!("L1 {kind} miss allocated at {:#x}", addr.raw())
-                    });
-                    self.l1d.miss_lines_this_cycle.push(line.raw());
-                    self.l1d.stats.misses += 1;
-                    match kind {
-                        AccessKind::Load => self.l1d.stats.loads += 1,
-                        AccessKind::Store => {
-                            self.functional.store_architectural(addr, store_value);
-                            self.l1d.stats.stores += 1;
-                        }
-                    }
-                    self.fire_l1_access(
-                        pc,
-                        addr,
-                        line,
-                        kind,
-                        AccessOutcome::Miss,
-                        false,
-                        if kind.is_store() {
-                            store_value
-                        } else {
-                            self.functional.architectural(addr)
-                        },
-                    );
-                    // Cancel any queued prefetch for this line (demand wins).
-                    if let Some(slot) = &mut self.l1_mech {
-                        slot.queue.cancel(line);
-                    }
-                    self.send_miss_to_l2(line, pc, kind, Origin::L1D);
-                    Ok(IssueResult::Pending(req))
-                }
-                MshrOutcome::Merged => {
-                    self.next_req += 1;
-                    self.l1d.take_port();
-                    self.trace_event(line, || format!("L1 {kind} merged at {:#x}", addr.raw()));
-                    self.l1d.stats.mshr_merges += 1;
-                    if was_prefetch {
-                        // A demand merged into an in-flight prefetch: the
-                        // prefetch was late but useful.
-                        self.l1d.stats.useful_prefetches += 1;
-                    }
-                    let _ = had_entry;
-                    match kind {
-                        AccessKind::Load => self.l1d.stats.loads += 1,
-                        AccessKind::Store => {
-                            self.functional.store_architectural(addr, store_value);
-                            self.l1d.stats.stores += 1;
-                        }
-                    }
-                    Ok(IssueResult::Pending(req))
-                }
-                MshrOutcome::FullStall | MshrOutcome::BusyStall => {
-                    self.l1d.stats.mshr_full_stalls += 1;
-                    Err(IssueRejection::MshrUnavailable)
-                }
-                MshrOutcome::TargetStall => {
-                    self.l1d.stats.mshr_full_stalls += 1;
-                    if fidelity.pipeline_stalls {
-                        self.l1d.stalled_until = now + 1;
-                    }
-                    Err(IssueRejection::MshrUnavailable)
-                }
-            }
+            });
         }
+
+        // Miss path: sidecar probe first.
+        let probe = self
+            .l1_mech
+            .as_mut()
+            .and_then(|slot| slot.mech.probe(line, now));
+        if let Some(hit) = probe {
+            self.l1d.take_port();
+            self.l1d.stats.sidecar_hits += 1;
+            self.l1d.count(kind);
+            // Install the sidecar line into L1 (swap semantics), apply the
+            // access, and only then process the displaced victim — its
+            // writeback can cascade into an L2 eviction that
+            // back-invalidates the line we just installed.
+            let victim = self.l1d.array.fill(line, hit.data, hit.dirty, false);
+            self.l1d.array.lookup(addr);
+            let value = match kind {
+                AccessKind::Load => {
+                    let v = self.l1d.array.read_word(addr).expect("just filled");
+                    self.check_value(addr, v);
+                    v
+                }
+                AccessKind::Store => {
+                    self.functional.store_architectural(addr, store_value);
+                    self.l1d.array.write_word(addr, store_value);
+                    store_value
+                }
+            };
+            if let Some(v) = victim {
+                self.handle_l1_victim(v);
+            }
+            self.fire_l1_access(
+                pc,
+                addr,
+                line,
+                kind,
+                AccessOutcome::SidecarHit,
+                false,
+                value,
+            );
+            return Ok(IssueResult::Done {
+                at: now + self.config.l1d.latency + hit.extra_latency,
+                value,
+            });
+        }
+
+        // Real miss: goes through the MSHR.
+        let req = ReqId(self.next_req + 1);
+        let target = MshrTarget {
+            req: Some(req),
+            addr,
+            is_store: kind.is_store(),
+            value: store_value,
+        };
+        let was_prefetch = self.l1d.mshr.is_prefetch_inflight(line);
+        let outcome = self.l1d.mshr.try_insert(line, target, false, now);
+        if !outcome.accepted() {
+            self.l1d.stats.mshr_full_stalls += 1;
+            if outcome == MshrOutcome::TargetStall && fidelity.pipeline_stalls {
+                self.l1d.stalled_until = now + 1;
+            }
+            return Err(IssueRejection::MshrUnavailable);
+        }
+        self.next_req += 1;
+        self.l1d.take_port();
+        self.l1d.count(kind);
+        if kind.is_store() {
+            self.functional.store_architectural(addr, store_value);
+        }
+        if outcome == MshrOutcome::Merged {
+            self.l1d.stats.mshr_merges += 1;
+            if was_prefetch {
+                // A demand merged into an in-flight prefetch: the prefetch
+                // was late but useful.
+                self.l1d.stats.useful_prefetches += 1;
+            }
+            return Ok(IssueResult::Pending(req));
+        }
+        self.l1d.miss_lines_this_cycle.push(line.raw());
+        self.l1d.stats.misses += 1;
+        self.fire_l1_observed(pc, addr, kind, AccessOutcome::Miss, store_value);
+        // Cancel any queued prefetch for this line (demand wins).
+        if let Some(slot) = &mut self.l1_mech {
+            slot.queue.cancel(line);
+        }
+        self.send_miss_to_l2(line, pc, kind, Origin::L1D);
+        Ok(IssueResult::Pending(req))
     }
 
     /// Issues an instruction fetch for the line containing `pc`.
@@ -900,27 +818,21 @@ impl MemorySystem {
             is_store: false,
             value: 0,
         };
-        match self.l1i.mshr.try_insert(line, target, false, false, now) {
-            MshrOutcome::Allocated => {
-                self.next_req += 1;
-                self.l1i.take_port();
-                self.l1i.stats.loads += 1;
-                self.l1i.stats.misses += 1;
-                self.send_miss_to_l2(line, pc, AccessKind::Load, Origin::L1I);
-                Ok(IssueResult::Pending(req))
-            }
-            MshrOutcome::Merged => {
-                self.next_req += 1;
-                self.l1i.take_port();
-                self.l1i.stats.loads += 1;
-                self.l1i.stats.mshr_merges += 1;
-                Ok(IssueResult::Pending(req))
-            }
-            _ => {
-                self.l1i.stats.mshr_full_stalls += 1;
-                Err(IssueRejection::MshrUnavailable)
-            }
+        let outcome = self.l1i.mshr.try_insert(line, target, false, now);
+        if !outcome.accepted() {
+            self.l1i.stats.mshr_full_stalls += 1;
+            return Err(IssueRejection::MshrUnavailable);
         }
+        self.next_req += 1;
+        self.l1i.take_port();
+        self.l1i.stats.loads += 1;
+        if outcome == MshrOutcome::Merged {
+            self.l1i.stats.mshr_merges += 1;
+        } else {
+            self.l1i.stats.misses += 1;
+            self.send_miss_to_l2(line, pc, AccessKind::Load, Origin::L1I);
+        }
+        Ok(IssueResult::Pending(req))
     }
 
     fn send_miss_to_l2(&mut self, l1_line: Addr, pc: Addr, kind: AccessKind, origin: Origin) {
@@ -960,6 +872,26 @@ impl MemorySystem {
                 value: Some(value),
             };
             slot.mech.on_access(&ev, &mut slot.queue);
+        }
+    }
+
+    /// Fires the L1 access hook with the value the access carries
+    /// architecturally: the stored value, or memory's value for a load.
+    fn fire_l1_observed(
+        &mut self,
+        pc: Addr,
+        addr: Addr,
+        kind: AccessKind,
+        outcome: AccessOutcome,
+        store_value: u64,
+    ) {
+        if self.l1_mech.is_some() {
+            let value = match kind {
+                AccessKind::Load => self.functional.architectural(addr),
+                AccessKind::Store => store_value,
+            };
+            let line = addr.line(self.config.l1d.line_bytes);
+            self.fire_l1_access(pc, addr, line, kind, outcome, false, value);
         }
     }
 
@@ -1072,20 +1004,7 @@ impl MemorySystem {
             }
             let l2_line = req.line.line(self.config.l2.line_bytes);
             self.warm_l2_fetch(l2_line, Addr::NULL, AccessKind::Load);
-            let data = self
-                .l2
-                .array
-                .read_line(l2_line)
-                .map(|l2data| {
-                    let off = (req.line.offset_in_line(self.config.l2.line_bytes) / 8) as usize;
-                    let words = (self.config.l1d.line_bytes / 8) as usize;
-                    LineData::from_words(&l2data.words()[off..off + words])
-                })
-                .unwrap_or_else(|| {
-                    self.functional
-                        .dram()
-                        .read_line(req.line, self.config.l1d.line_bytes)
-                });
+            let data = self.line_below_l1(req.line);
             self.l1d.stats.prefetch_fills += 1;
             if req.destination == PrefetchDestination::Cache {
                 self.warm_last_dline = None;
@@ -1094,15 +1013,13 @@ impl MemorySystem {
                     self.handle_l1_victim(v);
                 }
             }
-            if let Some(slot) = &mut self.l1_mech {
-                let ev = RefillEvent {
-                    now: Cycle::new(self.warm_clock),
-                    line: req.line,
-                    data,
-                    cause: RefillCause::Prefetch,
-                };
-                slot.mech.on_refill(&ev, &mut slot.queue);
-            }
+            refill(
+                &mut self.l1_mech,
+                self.now,
+                req.line,
+                data,
+                RefillCause::Prefetch,
+            );
         }
         for _ in 0..2 {
             let Some(req) = self.l2_mech.as_mut().and_then(|s| s.queue.pop()) else {
@@ -1117,15 +1034,13 @@ impl MemorySystem {
             if let Some(v) = victim {
                 self.handle_l2_victim(v);
             }
-            if let Some(slot) = &mut self.l2_mech {
-                let ev = RefillEvent {
-                    now: Cycle::new(self.warm_clock),
-                    line: req.line,
-                    data,
-                    cause: RefillCause::Prefetch,
-                };
-                slot.mech.on_refill(&ev, &mut slot.queue);
-            }
+            refill(
+                &mut self.l2_mech,
+                self.now,
+                req.line,
+                data,
+                RefillCause::Prefetch,
+            );
         }
     }
 
@@ -1141,10 +1056,7 @@ impl MemorySystem {
 
     fn warm_data_access(&mut self, pc: Addr, addr: Addr, kind: AccessKind, store_value: u64) {
         let line = addr.line(self.config.l1d.line_bytes);
-        match kind {
-            AccessKind::Load => self.l1d.stats.loads += 1,
-            AccessKind::Store => self.l1d.stats.stores += 1,
-        }
+        self.l1d.count(kind);
         // Fast path: the previous warm data access left this same line MRU
         // and TOUCHED (see `warm_last_dline`), so the set scan can be
         // skipped; the touch itself still runs, leaving the array
@@ -1156,14 +1068,7 @@ impl MemorySystem {
                     self.functional.store_architectural(addr, store_value);
                     self.l1d.array.warm_slot_store(slot, addr, store_value);
                 }
-                if self.l1_mech.is_some() {
-                    let value = if kind.is_store() {
-                        store_value
-                    } else {
-                        self.functional.architectural(addr)
-                    };
-                    self.fire_l1_access(pc, addr, line, kind, AccessOutcome::Hit, false, value);
-                }
+                self.fire_l1_observed(pc, addr, kind, AccessOutcome::Hit, store_value);
                 return;
             }
         }
@@ -1173,21 +1078,14 @@ impl MemorySystem {
                 self.l1d.array.write_word(addr, store_value);
             }
             self.warm_last_dline = Some((line.raw(), slot));
-            if self.l1_mech.is_some() {
-                let value = if kind.is_store() {
-                    store_value
-                } else {
-                    self.functional.architectural(addr)
-                };
-                self.fire_l1_access(pc, addr, line, kind, AccessOutcome::Hit, false, value);
-            }
+            self.fire_l1_observed(pc, addr, kind, AccessOutcome::Hit, store_value);
             return;
         }
         // Miss: sidecar first (swap semantics), else fetch through the L2.
         let probe = self
             .l1_mech
             .as_mut()
-            .and_then(|slot| slot.mech.probe(line, Cycle::new(self.warm_clock)));
+            .and_then(|slot| slot.mech.probe(line, self.now));
         let (data, outcome, dirty) = match probe {
             Some(hit) => {
                 self.l1d.stats.sidecar_hits += 1;
@@ -1195,33 +1093,11 @@ impl MemorySystem {
             }
             None => {
                 self.l1d.stats.misses += 1;
-                let l2_line = line.line(self.config.l2.line_bytes);
-                self.warm_l2_fetch(l2_line, pc, kind);
-                let data = self
-                    .l2
-                    .array
-                    .read_line(l2_line)
-                    .map(|l2data| {
-                        let off = (line.offset_in_line(self.config.l2.line_bytes) / 8) as usize;
-                        let words = (self.config.l1d.line_bytes / 8) as usize;
-                        LineData::from_words(&l2data.words()[off..off + words])
-                    })
-                    .unwrap_or_else(|| {
-                        self.functional
-                            .dram()
-                            .read_line(line, self.config.l1d.line_bytes)
-                    });
-                (data, AccessOutcome::Miss, false)
+                self.warm_l2_fetch(line.line(self.config.l2.line_bytes), pc, kind);
+                (self.line_below_l1(line), AccessOutcome::Miss, false)
             }
         };
-        if self.l1_mech.is_some() {
-            let value = if kind.is_store() {
-                store_value
-            } else {
-                self.functional.architectural(addr)
-            };
-            self.fire_l1_access(pc, addr, line, kind, outcome, false, value);
-        }
+        self.fire_l1_observed(pc, addr, kind, outcome, store_value);
         self.warm_last_dline = None;
         let victim = self.l1d.array.fill(line, data, dirty, false);
         if kind.is_store() {
@@ -1233,15 +1109,7 @@ impl MemorySystem {
             self.handle_l1_victim(v);
         }
         if outcome == AccessOutcome::Miss {
-            if let Some(slot) = &mut self.l1_mech {
-                let ev = RefillEvent {
-                    now: Cycle::new(self.warm_clock),
-                    line,
-                    data,
-                    cause: RefillCause::Demand,
-                };
-                slot.mech.on_refill(&ev, &mut slot.queue);
-            }
+            refill(&mut self.l1_mech, self.now, line, data, RefillCause::Demand);
         }
     }
 
@@ -1249,33 +1117,23 @@ impl MemorySystem {
     /// on a miss), firing the L2 mechanism events along the way.
     fn warm_l2_fetch(&mut self, l2_line: Addr, pc: Addr, kind: AccessKind) {
         if self.l2.array.lookup(l2_line).is_some() {
-            match kind {
-                AccessKind::Load => self.l2.stats.loads += 1,
-                AccessKind::Store => self.l2.stats.stores += 1,
-            }
-            self.fire_l2_access(pc, l2_line, kind, AccessOutcome::Hit, false);
+            self.l2_demand_access(pc, l2_line, kind, AccessOutcome::Hit, false);
             return;
         }
-        match kind {
-            AccessKind::Load => self.l2.stats.loads += 1,
-            AccessKind::Store => self.l2.stats.stores += 1,
-        }
         self.l2.stats.misses += 1;
-        self.fire_l2_access(pc, l2_line, kind, AccessOutcome::Miss, false);
+        self.l2_demand_access(pc, l2_line, kind, AccessOutcome::Miss, false);
         let data = self.functional.dram().read_line(l2_line, 64);
         let victim = self.l2.array.fill(l2_line, data, false, false);
         if let Some(v) = victim {
             self.handle_l2_victim(v);
         }
-        if let Some(slot) = &mut self.l2_mech {
-            let ev = RefillEvent {
-                now: Cycle::new(self.warm_clock),
-                line: l2_line,
-                data,
-                cause: RefillCause::Demand,
-            };
-            slot.mech.on_refill(&ev, &mut slot.queue);
-        }
+        refill(
+            &mut self.l2_mech,
+            self.now,
+            l2_line,
+            data,
+            RefillCause::Demand,
+        );
     }
 
     /// Re-enters functional warm mode after a detailed phase — sampled
@@ -1561,13 +1419,6 @@ impl MemorySystem {
         });
         let was_prefetch = entry.map(|e| e.is_prefetch).unwrap_or(false);
         let data = self.functional.dram().read_line(l2_line, 64);
-        self.trace_event(l2_line, || {
-            format!(
-                "L2 refill word0={:#x} prefetch={}",
-                data.word(0),
-                was_prefetch
-            )
-        });
         if !self.l2.array.contains(l2_line) {
             let victim = self.l2.array.fill(l2_line, data, false, was_prefetch);
             if was_prefetch {
@@ -1579,19 +1430,12 @@ impl MemorySystem {
                 self.handle_l2_victim(v);
             }
         }
-        if let Some(slot) = &mut self.l2_mech {
-            let ev = RefillEvent {
-                now: self.now,
-                line: l2_line,
-                data,
-                cause: if was_prefetch {
-                    RefillCause::Prefetch
-                } else {
-                    RefillCause::Demand
-                },
-            };
-            slot.mech.on_refill(&ev, &mut slot.queue);
-        }
+        let cause = if was_prefetch {
+            RefillCause::Prefetch
+        } else {
+            RefillCause::Demand
+        };
+        refill(&mut self.l2_mech, self.now, l2_line, data, cause);
         // Forward to the L1 requesters.
         for &waiter in &waiters {
             self.schedule_l1_fill_from_l2_delayed(l2_line, waiter, 0);
@@ -1601,30 +1445,21 @@ impl MemorySystem {
 
     fn pump_l2_queue(&mut self) {
         while let Some(front) = self.l2_queue.front() {
-            let arrival = match front {
-                L2Req::Demand { arrival, .. } => *arrival,
-                L2Req::Writeback { arrival, .. } => *arrival,
-            };
+            let (L2Req::Demand { arrival, .. } | L2Req::Writeback { arrival }) = *front;
             if arrival > self.now || !self.l2.port_available() {
                 break;
             }
-            let req = self.l2_queue.pop_front().expect("front exists");
-            match req {
-                L2Req::Writeback { .. } => {
-                    // Data already merged eagerly; the request only consumes
-                    // the port.
-                    self.l2.take_port();
-                }
-                L2Req::Demand {
-                    l2_line,
-                    pc,
-                    kind,
-                    origin,
-                    arrival: _,
-                } => {
-                    self.l2.take_port();
-                    self.process_l2_demand(l2_line, pc, kind, origin);
-                }
+            self.l2.take_port();
+            // A writeback's data was merged eagerly; it only takes the port.
+            if let Some(L2Req::Demand {
+                l2_line,
+                pc,
+                kind,
+                origin,
+                ..
+            }) = self.l2_queue.pop_front()
+            {
+                self.process_l2_demand(l2_line, pc, kind, origin);
             }
         }
     }
@@ -1633,14 +1468,10 @@ impl MemorySystem {
         let is_prefetch_origin = matches!(origin, Origin::L1Prefetch | Origin::L2Prefetch);
         if let Some(hit) = self.l2.array.lookup(l2_line) {
             if !is_prefetch_origin {
-                match kind {
-                    AccessKind::Load => self.l2.stats.loads += 1,
-                    AccessKind::Store => self.l2.stats.stores += 1,
-                }
                 if hit.first_touch_of_prefetch {
                     self.l2.stats.useful_prefetches += 1;
                 }
-                self.fire_l2_access(
+                self.l2_demand_access(
                     pc,
                     l2_line,
                     kind,
@@ -1661,11 +1492,7 @@ impl MemorySystem {
         if let Some(hit) = probe {
             self.l2.stats.sidecar_hits += 1;
             if !is_prefetch_origin {
-                match kind {
-                    AccessKind::Load => self.l2.stats.loads += 1,
-                    AccessKind::Store => self.l2.stats.stores += 1,
-                }
-                self.fire_l2_access(pc, l2_line, kind, AccessOutcome::SidecarHit, false);
+                self.l2_demand_access(pc, l2_line, kind, AccessOutcome::SidecarHit, false);
             }
             let victim = self.l2.array.fill(l2_line, hit.data, hit.dirty, false);
             if let Some(v) = victim {
@@ -1679,49 +1506,30 @@ impl MemorySystem {
             return;
         }
 
-        let target = MshrTarget {
-            req: None,
-            addr: l2_line,
-            is_store: false,
-            value: 0,
-        };
-        match self
-            .l2
-            .mshr
-            .try_insert(l2_line, target, is_prefetch_origin, false, self.now)
-        {
+        match self.l2.mshr.try_insert(
+            l2_line,
+            internal_target(l2_line),
+            is_prefetch_origin,
+            self.now,
+        ) {
             MshrOutcome::Allocated => {
                 if !is_prefetch_origin {
-                    match kind {
-                        AccessKind::Load => self.l2.stats.loads += 1,
-                        AccessKind::Store => self.l2.stats.stores += 1,
-                    }
                     self.l2.stats.misses += 1;
-                    self.fire_l2_access(pc, l2_line, kind, AccessOutcome::Miss, false);
+                    self.l2_demand_access(pc, l2_line, kind, AccessOutcome::Miss, false);
                     if let Some(slot) = &mut self.l2_mech {
                         slot.queue.cancel(l2_line);
                     }
                 }
                 self.l2_waiters.push((l2_line.raw(), origin));
-                // Request command to memory.
-                self.mem_bus.reserve(self.now, 8);
-                self.mem_pending.push_back(MemReq {
-                    l2_line,
-                    is_write: false,
-                    ready_at: self.mem_bus.busy_until(),
-                });
+                self.send_to_memory(l2_line, false, 8);
             }
             MshrOutcome::Merged => {
                 if !is_prefetch_origin {
-                    match kind {
-                        AccessKind::Load => self.l2.stats.loads += 1,
-                        AccessKind::Store => self.l2.stats.stores += 1,
-                    }
                     self.l2.stats.mshr_merges += 1;
                     if self.l2.mshr.is_prefetch_inflight(l2_line) {
                         self.l2.stats.useful_prefetches += 1;
                     }
-                    self.fire_l2_access(pc, l2_line, kind, AccessOutcome::Miss, false);
+                    self.l2_demand_access(pc, l2_line, kind, AccessOutcome::Miss, false);
                 }
                 self.l2_waiters.push((l2_line.raw(), origin));
             }
@@ -1755,10 +1563,10 @@ impl MemorySystem {
             });
             return;
         }
-        let (instruction, prefetched, to_buffer) = match origin {
-            Origin::L1D => (false, false, false),
-            Origin::L1I => (true, false, false),
-            Origin::L1Prefetch => (false, true, false),
+        let (instruction, prefetched) = match origin {
+            Origin::L1D => (false, false),
+            Origin::L1I => (true, false),
+            Origin::L1Prefetch => (false, true),
             Origin::L1BufferPrefetch { .. } | Origin::L2Prefetch => return,
         };
         let l1_bytes = if instruction {
@@ -1781,7 +1589,7 @@ impl MemorySystem {
                     l1_line: cand,
                     instruction,
                     prefetched,
-                    to_buffer,
+                    to_buffer: false,
                     arrive: self.l1_l2_bus.busy_until(),
                 });
             }
@@ -1850,108 +1658,49 @@ impl MemorySystem {
 
     fn finish_l1d_fill(&mut self, fill: L1Fill) {
         if fill.to_buffer {
-            self.finish_buffer_fill(fill);
+            self.finish_buffer_fill(fill.l1_line);
             return;
         }
         let mut targets = std::mem::take(&mut self.mshr_targets);
         if let Some(entry) = self.l1d.mshr.complete_into(fill.l1_line, &mut targets) {
-            self.finish_l1d_fill_inner(fill, entry, &targets);
+            self.install_l1d_fill(fill.l1_line, fill.prefetched && entry.is_prefetch, &targets);
         }
         self.mshr_targets = targets;
     }
 
-    fn finish_l1d_fill_inner(
-        &mut self,
-        fill: L1Fill,
-        entry: crate::mshr::MshrCompletion,
-        targets: &[MshrTarget],
-    ) {
-        let mut data = self
-            .l2
-            .array
-            .read_line(fill.l1_line.line(self.config.l2.line_bytes))
-            .map(|l2data| {
-                let off = (fill.l1_line.offset_in_line(self.config.l2.line_bytes) / 8) as usize;
-                let words = (self.config.l1d.line_bytes / 8) as usize;
-                LineData::from_words(&l2data.words()[off..off + words])
-            })
-            .unwrap_or_else(|| {
-                self.functional
-                    .dram()
-                    .read_line(fill.l1_line, self.config.l1d.line_bytes)
-            });
-
-        if entry.to_buffer {
-            // Buffer-destination prefetch: hand the line to the mechanism
-            // only — unless the line entered the L1 while the fill was in
-            // flight (probe-hit swap), in which case the buffer copy would
-            // go stale the moment the cached copy is written. Discard it.
-            if self.l1d.array.contains(fill.l1_line) {
-                self.trace_event(fill.l1_line, || {
-                    "buffer fill discarded (line now L1-resident)".to_owned()
-                });
-                return;
-            }
-            self.trace_event(fill.l1_line, || {
-                format!("fill -> mech buffer word0={:#x}", data.word(0))
-            });
-            self.l1d.stats.prefetch_fills += 1;
-            if let Some(slot) = &mut self.l1_mech {
-                let ev = RefillEvent {
-                    now: self.now,
-                    line: fill.l1_line,
-                    data,
-                    cause: RefillCause::Prefetch,
-                };
-                slot.mech.on_refill(&ev, &mut slot.queue);
-            }
-            return;
-        }
-
+    fn install_l1d_fill(&mut self, l1_line: Addr, prefetched: bool, targets: &[MshrTarget]) {
+        let mut data = self.line_below_l1(l1_line);
         // Apply merged targets in arrival order; stores update the fill
         // data, loads observe the current value.
         let mut dirty = false;
         for t in targets {
             let off = (t.addr.offset_in_line(self.config.l1d.line_bytes) / 8) as usize;
-            if t.is_store {
+            let value = if t.is_store {
                 data.set_word(off, t.value);
                 dirty = true;
-            } else if let Some(req) = t.req {
-                let value = data.word(off);
-                self.check_value(t.addr, value);
+                t.value
+            } else {
+                data.word(off)
+            };
+            if let Some(req) = t.req {
+                if !t.is_store {
+                    self.check_value(t.addr, value);
+                }
                 self.completions.push(Completion {
                     req,
                     at: self.now,
                     value,
                 });
-                continue;
-            }
-            if t.is_store {
-                if let Some(req) = t.req {
-                    self.completions.push(Completion {
-                        req,
-                        at: self.now,
-                        value: t.value,
-                    });
-                }
             }
         }
 
-        self.trace_event(fill.l1_line, || {
-            format!(
-                "L1 fill install word0={:#x} targets={}",
-                data.word(0),
-                targets.len()
-            )
-        });
-        if !self.l1d.array.contains(fill.l1_line) {
-            let prefetched = fill.prefetched && entry.is_prefetch;
+        if !self.l1d.array.contains(l1_line) {
             if prefetched {
                 self.l1d.stats.prefetch_fills += 1;
             } else {
                 self.l1d.stats.demand_fills += 1;
             }
-            let victim = self.l1d.array.fill(fill.l1_line, data, dirty, prefetched);
+            let victim = self.l1d.array.fill(l1_line, data, dirty, prefetched);
             if let Some(v) = victim {
                 self.handle_l1_victim(v);
             }
@@ -1965,69 +1714,48 @@ impl MemorySystem {
             }
         }
 
-        if let Some(slot) = &mut self.l1_mech {
-            // Cause is `Prefetch` only for buffer-destined fills (handled
-            // above): a cache-installed line must not be mirrored into a
-            // mechanism's buffer, or the buffer copy would go stale when
-            // the cached copy is written (value-integrity hazard).
-            let ev = RefillEvent {
-                now: self.now,
-                line: fill.l1_line,
-                data,
-                cause: RefillCause::Demand,
-            };
-            slot.mech.on_refill(&ev, &mut slot.queue);
-        }
+        // Cause is `Prefetch` only for buffer fills (`finish_buffer_fill`):
+        // a cache-installed line must not be mirrored into a mechanism's
+        // buffer, or the buffer copy would go stale when the cached copy
+        // is written (value-integrity hazard).
+        refill(
+            &mut self.l1_mech,
+            self.now,
+            l1_line,
+            data,
+            RefillCause::Demand,
+        );
     }
 
     /// Delivers a buffer-destination prefetch to the L1 mechanism — unless
     /// the line became L1-resident (or a demand miss is in flight) while
     /// the prefetch travelled, in which case the copy would go stale and is
-    /// discarded.
-    fn finish_buffer_fill(&mut self, fill: L1Fill) {
+    /// discarded. Buffer prefetches hold no MSHR entry.
+    fn finish_buffer_fill(&mut self, l1_line: Addr) {
         if let Some(pos) = self
             .buffer_inflight
             .iter()
-            .position(|&l| l == fill.l1_line.raw())
+            .position(|&l| l == l1_line.raw())
         {
             self.buffer_inflight.swap_remove(pos);
         }
-        if self.l1d.array.contains(fill.l1_line) || self.l1d.mshr.contains(fill.l1_line) {
-            self.trace_event(fill.l1_line, || {
-                "buffer fill discarded (resident/in-flight demand)".to_owned()
-            });
+        if self.l1d.array.contains(l1_line) || self.l1d.mshr.contains(l1_line) {
             return;
         }
-        let data = self
-            .l2
-            .array
-            .read_line(fill.l1_line.line(self.config.l2.line_bytes))
-            .map(|l2data| {
-                let off = (fill.l1_line.offset_in_line(self.config.l2.line_bytes) / 8) as usize;
-                let words = (self.config.l1d.line_bytes / 8) as usize;
-                LineData::from_words(&l2data.words()[off..off + words])
-            })
-            .unwrap_or_else(|| {
-                self.functional
-                    .dram()
-                    .read_line(fill.l1_line, self.config.l1d.line_bytes)
-            });
-        self.trace_event(fill.l1_line, || {
-            format!("fill -> mech buffer word0={:#x}", data.word(0))
-        });
+        let data = self.line_below_l1(l1_line);
         self.l1d.stats.prefetch_fills += 1;
-        if let Some(slot) = &mut self.l1_mech {
-            let ev = RefillEvent {
-                now: self.now,
-                line: fill.l1_line,
-                data,
-                cause: RefillCause::Prefetch,
-            };
-            slot.mech.on_refill(&ev, &mut slot.queue);
-        }
+        refill(
+            &mut self.l1_mech,
+            self.now,
+            l1_line,
+            data,
+            RefillCause::Prefetch,
+        );
     }
 
-    fn fire_l2_access(
+    /// Counts a demand access at the L2 and fires the L2 mechanism's
+    /// access hook for it.
+    fn l2_demand_access(
         &mut self,
         pc: Addr,
         l2_line: Addr,
@@ -2035,6 +1763,7 @@ impl MemorySystem {
         outcome: AccessOutcome,
         first_touch: bool,
     ) {
+        self.l2.count(kind);
         if let Some(slot) = &mut self.l2_mech {
             let value = self.functional.architectural(l2_line);
             let ev = AccessEvent {
@@ -2062,12 +1791,8 @@ impl MemorySystem {
             // and do not need an MSHR entry; cache-destined ones do.
             let bus_nearly_idle = self.l1_l2_bus.busy_until() <= self.now + 2;
             if !(bus_nearly_idle && self.l1d.stalled_until <= self.now) {
-                if !slot.queue.is_empty() {
-                    slot.drain_blocked += 1;
-                }
                 break;
             }
-            slot.drain_ok += 1;
             let Some(req) = slot.queue.peek().copied() else {
                 break;
             };
@@ -2077,7 +1802,6 @@ impl MemorySystem {
                 || self.buffer_inflight.contains(&req.line.raw())
             {
                 slot.queue.pop();
-                slot.dropped_resident += 1;
                 continue;
             }
             if req.destination == PrefetchDestination::Buffer {
@@ -2094,19 +1818,12 @@ impl MemorySystem {
                 continue;
             }
             if self.l1d.mshr.is_full() {
-                slot.drain_blocked += 1;
                 break;
             }
-            let target = MshrTarget {
-                req: None,
-                addr: req.line,
-                is_store: false,
-                value: 0,
-            };
             if self
                 .l1d
                 .mshr
-                .try_insert(req.line, target, true, false, self.now)
+                .try_insert(req.line, internal_target(req.line), true, self.now)
                 .accepted()
             {
                 slot.queue.pop();
@@ -2120,38 +1837,27 @@ impl MemorySystem {
         // own path into the miss machinery, so it does not compete for the
         // demand ports; it *does* compete for MSHRs, the memory bus and the
         // SDRAM queue — the contention effects of Figs 8/9.)
-        if let Some(slot) = &mut self.l2_mech {
-            let bus_nearly_idle = self.mem_bus.busy_until() <= self.now + 5;
-            if bus_nearly_idle && !self.l2.mshr.is_full() {
-                if let Some(req) = slot.queue.peek().copied() {
-                    if self.l2.array.peek(req.line) || self.l2.mshr.contains(req.line) {
-                        slot.queue.pop();
-                        slot.dropped_resident += 1;
-                    } else {
-                        let target = MshrTarget {
-                            req: None,
-                            addr: req.line,
-                            is_store: false,
-                            value: 0,
-                        };
-                        if self
-                            .l2
-                            .mshr
-                            .try_insert(req.line, target, true, false, self.now)
-                            .accepted()
-                        {
-                            slot.queue.pop();
-                            self.l2_waiters.push((req.line.raw(), Origin::L2Prefetch));
-                            self.mem_bus.reserve(self.now, 8);
-                            self.mem_pending.push_back(MemReq {
-                                l2_line: req.line,
-                                is_write: false,
-                                ready_at: self.mem_bus.busy_until(),
-                            });
-                        }
-                    }
-                }
-            }
+        let Some(slot) = &mut self.l2_mech else {
+            return;
+        };
+        let bus_nearly_idle = self.mem_bus.busy_until() <= self.now + 5;
+        if !bus_nearly_idle || self.l2.mshr.is_full() {
+            return;
+        }
+        let Some(req) = slot.queue.peek().copied() else {
+            return;
+        };
+        if self.l2.array.peek(req.line) || self.l2.mshr.contains(req.line) {
+            slot.queue.pop();
+        } else if self
+            .l2
+            .mshr
+            .try_insert(req.line, internal_target(req.line), true, self.now)
+            .accepted()
+        {
+            slot.queue.pop();
+            self.l2_waiters.push((req.line.raw(), Origin::L2Prefetch));
+            self.send_to_memory(req.line, false, 8);
         }
     }
 
@@ -2172,12 +1878,7 @@ impl MemorySystem {
                 self.functional
                     .dram_mut()
                     .write_line(spill.line, &spill.data);
-                self.mem_bus.reserve(self.now, spill.data.byte_len());
-                self.mem_pending.push_back(MemReq {
-                    l2_line: spill.line,
-                    is_write: true,
-                    ready_at: self.mem_bus.busy_until(),
-                });
+                self.send_to_memory(spill.line, true, spill.data.byte_len());
             }
         }
     }
@@ -2216,13 +1917,6 @@ impl MemorySystem {
     /// The attached L2 mechanism's own counters, if one is attached.
     pub fn l2_mechanism_stats(&self) -> Option<MechanismStats> {
         self.l2_mech.as_ref().map(|s| s.mech.stats())
-    }
-
-    /// Debug: (drain_ok, drain_blocked, dropped_resident) for the L1 slot.
-    pub fn l1_drain_counters(&self) -> Option<(u64, u64, u64)> {
-        self.l1_mech
-            .as_ref()
-            .map(|s| (s.drain_ok, s.drain_blocked, s.dropped_resident))
     }
 
     /// Prefetch-queue counters for the L1 and L2 mechanism slots.
@@ -2269,7 +1963,9 @@ fn delta_stats(now: &CacheStats, base: &CacheStats) -> CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microlib_model::SystemConfig;
+    use microlib_model::{HardwareBudget, PrefetchRequest, SystemConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn system(cfg: SystemConfig) -> MemorySystem {
         MemorySystem::new(cfg, Vec::new()).unwrap()
@@ -2611,5 +2307,151 @@ mod tests {
         mem.begin_cycle(now);
         mem.try_load(Addr::NULL, Addr::new(0x9008), now).unwrap();
         assert_eq!(mem.l2_stats().loads, l2_loads_before);
+    }
+
+    /// An L1 mechanism that asks for one buffer-destination prefetch of
+    /// `line` on its first access and logs every refill it is handed.
+    struct BufferPrefetcher {
+        line: Addr,
+        asked: bool,
+        refills: Rc<RefCell<Vec<RefillEvent>>>,
+    }
+
+    impl Mechanism for BufferPrefetcher {
+        fn name(&self) -> &str {
+            "buffer-test"
+        }
+
+        fn attach_point(&self) -> AttachPoint {
+            AttachPoint::L1Data
+        }
+
+        fn on_access(&mut self, _event: &AccessEvent, prefetch: &mut PrefetchQueue) {
+            if !self.asked {
+                self.asked = true;
+                prefetch.push(PrefetchRequest {
+                    line: self.line,
+                    destination: PrefetchDestination::Buffer,
+                });
+            }
+        }
+
+        fn on_refill(&mut self, event: &RefillEvent, _prefetch: &mut PrefetchQueue) {
+            self.refills.borrow_mut().push(*event);
+        }
+
+        fn hardware(&self) -> HardwareBudget {
+            HardwareBudget::none("buffer-test")
+        }
+    }
+
+    /// A constant-memory system whose L1 mechanism buffer-prefetches the
+    /// upper half (`0x8020`) of L2 line `0x8000`, with distinct words in
+    /// the two halves; returns the system and the mechanism's refill log.
+    fn buffer_prefetch_system() -> (MemorySystem, Rc<RefCell<Vec<RefillEvent>>>) {
+        let refills = Rc::new(RefCell::new(Vec::new()));
+        let mech = BufferPrefetcher {
+            line: Addr::new(0x8020),
+            asked: false,
+            refills: Rc::clone(&refills),
+        };
+        let mut mem = MemorySystem::new(
+            SystemConfig::baseline_constant_memory(),
+            vec![Box::new(mech)],
+        )
+        .unwrap();
+        mem.functional_mut()
+            .initialize_word(Addr::new(0x8000), 0x1111);
+        mem.functional_mut()
+            .initialize_word(Addr::new(0x8020), 0xBEEF);
+        (mem, refills)
+    }
+
+    /// Steps the system until nothing is in flight.
+    fn run_until_quiescent(mem: &mut MemorySystem, mut now: Cycle) {
+        for _ in 0..1_000 {
+            if mem.quiescent() {
+                return;
+            }
+            now += 1;
+            mem.begin_cycle(now);
+        }
+        panic!("memory system still busy at {now}");
+    }
+
+    #[test]
+    fn buffer_prefetch_delivers_line_to_mechanism() {
+        let (mut mem, refills) = buffer_prefetch_system();
+        let line = Addr::new(0x8020);
+        let now = Cycle::ZERO;
+        mem.begin_cycle(now);
+        // Any access triggers the prefetch request.
+        mem.try_load(Addr::NULL, Addr::new(0x1000), now).unwrap();
+        let mut now = now;
+        while !mem.buffer_inflight.contains(&line.raw()) {
+            now += 1;
+            assert!(now.raw() < 100, "prefetch never issued");
+            mem.begin_cycle(now);
+        }
+        assert!(
+            !mem.l1d.mshr.contains(line),
+            "a buffer prefetch holds no L1 MSHR entry"
+        );
+        run_until_quiescent(&mut mem, now);
+
+        let refills = refills.borrow();
+        let prefetched: Vec<_> = refills.iter().filter(|e| e.line == line).collect();
+        assert_eq!(prefetched.len(), 1, "{refills:?}");
+        assert_eq!(prefetched[0].cause, RefillCause::Prefetch);
+        assert_eq!(
+            prefetched[0].data.word(0),
+            0xBEEF,
+            "upper half of the L2 line"
+        );
+        assert_eq!(mem.l1d_stats().prefetch_fills, 1);
+        assert!(
+            !mem.l1d.array.peek(line),
+            "buffer fills bypass the L1 array"
+        );
+        assert!(mem.buffer_inflight.is_empty());
+    }
+
+    #[test]
+    fn buffer_prefetch_is_discarded_behind_demand_miss() {
+        let (mut mem, refills) = buffer_prefetch_system();
+        let line = Addr::new(0x8020);
+        let mut now = Cycle::ZERO;
+        mem.begin_cycle(now);
+        mem.try_load(Addr::NULL, Addr::new(0x1000), now).unwrap();
+        while !mem.buffer_inflight.contains(&line.raw()) {
+            now += 1;
+            assert!(now.raw() < 100, "prefetch never issued");
+            mem.begin_cycle(now);
+        }
+        // A demand miss on the prefetched line while the prefetch travels.
+        let demand = loop {
+            match mem.try_load(Addr::NULL, Addr::new(0x8020), now) {
+                Ok(IssueResult::Pending(id)) => break id,
+                Ok(other) => panic!("line cannot be resident yet: {other:?}"),
+                Err(_) => {
+                    now += 1;
+                    mem.begin_cycle(now);
+                }
+            }
+        };
+        let done = run_to_completion(&mut mem, demand, now, 1_000);
+        assert_eq!(done.value, 0xBEEF);
+        run_until_quiescent(&mut mem, done.at);
+
+        let refills = refills.borrow();
+        assert!(
+            refills
+                .iter()
+                .all(|e| e.line != line || e.cause == RefillCause::Demand),
+            "stale buffer copy delivered: {refills:?}"
+        );
+        assert_eq!(mem.l1d_stats().prefetch_fills, 0);
+        assert!(mem.buffer_inflight.is_empty());
+        assert!(mem.integrity_error().is_none());
     }
 }

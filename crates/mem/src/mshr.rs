@@ -32,7 +32,6 @@ const NONE: u32 = u32::MAX;
 /// `slot_flags` bits.
 const LIVE: u8 = 1 << 0;
 const PREFETCH: u8 = 1 << 1;
-const TO_BUFFER: u8 = 1 << 2;
 
 /// One consumer waiting on an in-flight line fill.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,8 +48,9 @@ pub struct MshrTarget {
 }
 
 /// One in-flight miss, as returned by the allocating
-/// [`MshrFile::complete`] convenience API (tests and the L1I path).
-/// The hot L1D/L2 fill paths use [`MshrFile::complete_into`] instead.
+/// [`MshrFile::complete`] convenience API, which only tests call; debug
+/// builds also keep one per entry in the reference shadow. Every fill path
+/// in the hierarchy uses [`MshrFile::complete_into`] instead.
 #[derive(Clone, Debug)]
 pub struct MshrEntry {
     /// Line-aligned miss address.
@@ -60,9 +60,6 @@ pub struct MshrEntry {
     /// Whether the entry was allocated by a prefetch (and no demand has
     /// merged into it yet).
     pub is_prefetch: bool,
-    /// Whether the fill should bypass the cache array and go to the
-    /// mechanism's buffer.
-    pub to_buffer: bool,
 }
 
 /// Allocation-free completion header: the per-entry state of a completed
@@ -73,8 +70,6 @@ pub struct MshrCompletion {
     pub line: Addr,
     /// Whether the entry was (still) a pure prefetch.
     pub is_prefetch: bool,
-    /// Whether the fill should bypass the cache array.
-    pub to_buffer: bool,
 }
 
 /// Outcome of [`MshrFile::try_insert`].
@@ -144,16 +139,16 @@ struct IndexCell {
 /// let mut mshr = MshrFile::new(2, 2);
 /// let t = |a| MshrTarget { req: None, addr: Addr::new(a), is_store: false, value: 0 };
 /// let now = Cycle::new(10);
-/// assert_eq!(mshr.try_insert(Addr::new(0x100), t(0x104), false, false, now), MshrOutcome::Allocated);
+/// assert_eq!(mshr.try_insert(Addr::new(0x100), t(0x104), false, now), MshrOutcome::Allocated);
 /// // Next cycle: a second access to the same line merges.
 /// let now = Cycle::new(11);
-/// assert_eq!(mshr.try_insert(Addr::new(0x100), t(0x108), false, false, now), MshrOutcome::Merged);
+/// assert_eq!(mshr.try_insert(Addr::new(0x100), t(0x108), false, now), MshrOutcome::Merged);
 /// ```
 #[derive(Clone, Debug)]
 pub struct MshrFile {
     /// Line-aligned miss address per slot (meaningful while LIVE).
     slot_line: Vec<u64>,
-    /// LIVE / PREFETCH / TO_BUFFER bits per slot.
+    /// LIVE / PREFETCH bits per slot.
     slot_flags: Vec<u8>,
     /// Head/tail of the slot's target chain in `nodes`.
     slot_head: Vec<u32>,
@@ -431,24 +426,21 @@ impl MshrFile {
 
     /// Attempts to record a miss on `line` with consumer `target`.
     ///
-    /// `as_prefetch` marks prefetch-originated allocations; `to_buffer`
-    /// routes the eventual fill to the mechanism's buffer instead of the
-    /// cache array. Demand accesses merging into a prefetch entry promote
-    /// it to demand (the prefetch became useful-but-late).
+    /// `as_prefetch` marks prefetch-originated allocations. Demand
+    /// accesses merging into a prefetch entry promote it to demand (the
+    /// prefetch became useful-but-late).
     pub fn try_insert(
         &mut self,
         line: Addr,
         target: MshrTarget,
         as_prefetch: bool,
-        to_buffer: bool,
         now: Cycle,
     ) -> MshrOutcome {
-        let outcome = self.try_insert_arena(line, target, as_prefetch, to_buffer, now);
+        let outcome = self.try_insert_arena(line, target, as_prefetch, now);
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             outcome,
-            self.shadow
-                .try_insert(line, target, as_prefetch, to_buffer, now),
+            self.shadow.try_insert(line, target, as_prefetch, now),
             "MSHR insert outcome diverged from shadow"
         );
         outcome
@@ -459,7 +451,6 @@ impl MshrFile {
         line: Addr,
         target: MshrTarget,
         as_prefetch: bool,
-        to_buffer: bool,
         now: Cycle,
     ) -> MshrOutcome {
         if self.model_busy_cycle {
@@ -483,7 +474,7 @@ impl MshrFile {
             self.slot_tail[slot] = node;
             self.slot_len[slot] += 1;
             if !as_prefetch {
-                self.slot_flags[slot] &= !(PREFETCH | TO_BUFFER);
+                self.slot_flags[slot] &= !PREFETCH;
             }
             self.stats.merges += 1;
             return MshrOutcome::Merged;
@@ -498,8 +489,7 @@ impl MshrFile {
         // LIVE slots, and the new slot must not be re-inserted by it.
         self.index_insert(line.raw(), slot as u32);
         self.slot_line[slot] = line.raw();
-        self.slot_flags[slot] =
-            LIVE | if as_prefetch { PREFETCH } else { 0 } | if to_buffer { TO_BUFFER } else { 0 };
+        self.slot_flags[slot] = LIVE | if as_prefetch { PREFETCH } else { 0 };
         self.slot_head[slot] = node;
         self.slot_tail[slot] = node;
         self.slot_len[slot] = 1;
@@ -543,14 +533,12 @@ impl MshrFile {
         let completion = MshrCompletion {
             line,
             is_prefetch: flags & PREFETCH != 0,
-            to_buffer: flags & TO_BUFFER != 0,
         };
         #[cfg(debug_assertions)]
         {
             let reference = self.shadow.complete(line).expect("shadow entry missing");
             debug_assert_eq!(reference.line, completion.line);
             debug_assert_eq!(reference.is_prefetch, completion.is_prefetch);
-            debug_assert_eq!(reference.to_buffer, completion.to_buffer);
             debug_assert_eq!(
                 reference.targets, *targets,
                 "MSHR completion targets diverged from shadow"
@@ -569,7 +557,6 @@ impl MshrFile {
             line: completion.line,
             targets,
             is_prefetch: completion.is_prefetch,
-            to_buffer: completion.to_buffer,
         })
     }
 
@@ -657,7 +644,6 @@ mod shadow {
             line: Addr,
             target: MshrTarget,
             as_prefetch: bool,
-            to_buffer: bool,
             now: Cycle,
         ) -> MshrOutcome {
             if self.model_busy_cycle {
@@ -674,7 +660,6 @@ mod shadow {
                 entry.targets.push(target);
                 if !as_prefetch {
                     entry.is_prefetch = false;
-                    entry.to_buffer = false;
                 }
                 return MshrOutcome::Merged;
             }
@@ -685,7 +670,6 @@ mod shadow {
                 line,
                 targets: vec![target],
                 is_prefetch: as_prefetch,
-                to_buffer,
             });
             if self.model_busy_cycle {
                 self.busy_after = Some(now);
@@ -722,11 +706,11 @@ mod tests {
     fn allocate_then_merge() {
         let mut m = MshrFile::new(8, 4);
         assert_eq!(
-            m.try_insert(Addr::new(0x100), t(0x100), false, false, Cycle::new(0)),
+            m.try_insert(Addr::new(0x100), t(0x100), false, Cycle::new(0)),
             MshrOutcome::Allocated
         );
         assert_eq!(
-            m.try_insert(Addr::new(0x100), t(0x108), false, false, Cycle::new(2)),
+            m.try_insert(Addr::new(0x100), t(0x108), false, Cycle::new(2)),
             MshrOutcome::Merged
         );
         assert_eq!(m.len(), 1);
@@ -741,16 +725,16 @@ mod tests {
         let mut m = MshrFile::new(8, 4);
         let now = Cycle::new(5);
         assert!(m
-            .try_insert(Addr::new(0x100), t(0x100), false, false, now)
+            .try_insert(Addr::new(0x100), t(0x100), false, now)
             .accepted());
         // Same cycle: busy.
         assert_eq!(
-            m.try_insert(Addr::new(0x200), t(0x200), false, false, now),
+            m.try_insert(Addr::new(0x200), t(0x200), false, now),
             MshrOutcome::BusyStall
         );
         // Next cycle: fine.
         assert_eq!(
-            m.try_insert(Addr::new(0x200), t(0x200), false, false, Cycle::new(6)),
+            m.try_insert(Addr::new(0x200), t(0x200), false, Cycle::new(6)),
             MshrOutcome::Allocated
         );
     }
@@ -761,13 +745,13 @@ mod tests {
         m.set_model_busy_cycle(false);
         let line = Addr::new(0x300);
         assert!(m
-            .try_insert(line, t(0x300), false, false, Cycle::new(0))
+            .try_insert(line, t(0x300), false, Cycle::new(0))
             .accepted());
         assert!(m
-            .try_insert(line, t(0x308), false, false, Cycle::new(1))
+            .try_insert(line, t(0x308), false, Cycle::new(1))
             .accepted());
         assert_eq!(
-            m.try_insert(line, t(0x310), false, false, Cycle::new(2)),
+            m.try_insert(line, t(0x310), false, Cycle::new(2)),
             MshrOutcome::TargetStall
         );
         assert_eq!(m.stats().target_stalls, 1);
@@ -778,13 +762,13 @@ mod tests {
         let mut m = MshrFile::new(2, 4);
         m.set_model_busy_cycle(false);
         assert!(m
-            .try_insert(Addr::new(0x000), t(0), false, false, Cycle::new(0))
+            .try_insert(Addr::new(0x000), t(0), false, Cycle::new(0))
             .accepted());
         assert!(m
-            .try_insert(Addr::new(0x100), t(0x100), false, false, Cycle::new(1))
+            .try_insert(Addr::new(0x100), t(0x100), false, Cycle::new(1))
             .accepted());
         assert_eq!(
-            m.try_insert(Addr::new(0x200), t(0x200), false, false, Cycle::new(2)),
+            m.try_insert(Addr::new(0x200), t(0x200), false, Cycle::new(2)),
             MshrOutcome::FullStall
         );
         assert!(m.is_full());
@@ -797,7 +781,7 @@ mod tests {
         let mut m = MshrFile::unlimited();
         for i in 0..100u64 {
             assert!(m
-                .try_insert(Addr::new(i * 64), t(i * 64), false, false, Cycle::new(0))
+                .try_insert(Addr::new(i * 64), t(i * 64), false, Cycle::new(0))
                 .accepted());
         }
         assert!(!m.is_full());
@@ -815,15 +799,14 @@ mod tests {
             is_store: false,
             value: 0,
         };
-        assert!(m.try_insert(line, pf, true, true, Cycle::new(0)).accepted());
+        assert!(m.try_insert(line, pf, true, Cycle::new(0)).accepted());
         assert!(m.is_prefetch_inflight(line));
         assert!(m
-            .try_insert(line, t(0x404), false, false, Cycle::new(1))
+            .try_insert(line, t(0x404), false, Cycle::new(1))
             .accepted());
         assert!(!m.is_prefetch_inflight(line));
         let entry = m.complete(line).unwrap();
-        assert!(!entry.is_prefetch);
-        assert!(!entry.to_buffer, "demand merge redirects fill to the cache");
+        assert!(!entry.is_prefetch, "demand merge promotes the entry");
     }
 
     /// Hammers slot/node recycling and the open-addressed index: repeated
@@ -837,10 +820,10 @@ mod tests {
             let lines: Vec<Addr> = (0..4).map(|i| Addr::new((round * 4 + i) * 0x40)).collect();
             for (i, line) in lines.iter().enumerate() {
                 assert!(m
-                    .try_insert(*line, t(line.raw()), false, false, Cycle::new(i as u64))
+                    .try_insert(*line, t(line.raw()), false, Cycle::new(i as u64))
                     .accepted());
                 assert!(m
-                    .try_insert(*line, t(line.raw() + 8), false, false, Cycle::new(i as u64))
+                    .try_insert(*line, t(line.raw() + 8), false, Cycle::new(i as u64))
                     .accepted());
             }
             assert!(m.is_full());
@@ -868,7 +851,7 @@ mod tests {
         let mut scratch = Vec::new();
         for i in 0..64u64 {
             assert!(m
-                .try_insert(Addr::new(i * 64), t(i * 64), false, false, Cycle::new(0))
+                .try_insert(Addr::new(i * 64), t(i * 64), false, Cycle::new(0))
                 .accepted());
         }
         for i in (0..64u64).step_by(2) {

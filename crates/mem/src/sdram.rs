@@ -167,11 +167,6 @@ impl Sdram {
         true
     }
 
-    /// Number of queued (not yet scheduled) transactions.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Number of transactions being serviced by banks.
     pub fn in_service_len(&self) -> usize {
         self.in_service.len()

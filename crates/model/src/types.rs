@@ -266,12 +266,6 @@ impl LineData {
         &self.words[..self.len as usize]
     }
 
-    /// Number of valid 64-bit words.
-    #[inline]
-    pub fn word_len(&self) -> usize {
-        self.len as usize
-    }
-
     /// Size of the line in bytes.
     #[inline]
     pub fn byte_len(&self) -> u64 {

@@ -30,11 +30,6 @@ impl TraceWindow {
         TraceWindow { skip, simulate }
     }
 
-    /// A window starting at instruction zero.
-    pub fn from_start(simulate: u64) -> Self {
-        TraceWindow { skip: 0, simulate }
-    }
-
     /// The window covering SimPoint interval `index` of length
     /// `interval_len`.
     pub fn simpoint_interval(index: usize, interval_len: u64) -> Self {

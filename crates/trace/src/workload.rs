@@ -26,10 +26,6 @@ enum ConcreteStream {
         base: u64,
         stride: i64,
         working_set: u64,
-        /// Stream-level cursor kept for staggering; traversal position is
-        /// per block (see `BlockCursor`).
-        #[allow(dead_code)]
-        cursor: u64,
     },
     Chain {
         nodes: Arc<Vec<u64>>,
@@ -57,9 +53,6 @@ enum ConcreteStream {
 #[derive(Clone, Copy, Debug, Default)]
 struct BlockCursor {
     pos: u64,
-    /// Reserved for per-block chain traversals (currently stream-level).
-    #[allow(dead_code)]
-    last_load_seq: Option<u64>,
 }
 
 #[derive(Clone, Debug)]
@@ -160,7 +153,6 @@ impl Workload {
                             base,
                             stride,
                             working_set,
-                            cursor: 0,
                         });
                     }
                     StreamSpec::PointerChase {
@@ -267,10 +259,7 @@ impl Workload {
                     }
                     ConcreteStream::Random { .. } => 0,
                 };
-                block_cursors.push(BlockCursor {
-                    pos,
-                    last_load_seq: None,
-                });
+                block_cursors.push(BlockCursor { pos });
             }
             phases.push(ConcretePhase {
                 profile: phase.clone(),
@@ -531,7 +520,6 @@ impl GenState {
                 base,
                 stride,
                 working_set,
-                ..
             } => {
                 // Loop-iteration semantics with a *per-block* cursor: this
                 // block's cursor advances once per block execution; each

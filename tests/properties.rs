@@ -126,7 +126,7 @@ fn mshr_occupancy_and_target_conservation() {
                 value: 0,
             };
             if mshr
-                .try_insert(line, t, false, false, Cycle::new(i as u64))
+                .try_insert(line, t, false, Cycle::new(i as u64))
                 .accepted()
             {
                 accepted += 1;
