@@ -3,7 +3,8 @@
 //! specs and scrape metrics.
 
 use crate::server::line_cell_index;
-use std::io::{Read, Write};
+use crate::spec::CampaignSpec;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -124,20 +125,47 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport-level I/O failure only; HTTP-level rejection is an
-    /// [`CampaignOutcome::Rejected`], not an `Err`.
+    /// Transport-level I/O failure, or an [`InvalidData`] error when a
+    /// `200` stream does not carry each cell index of the spec exactly
+    /// once (the message names the missing ones). HTTP-level rejection
+    /// is a [`CampaignOutcome::Rejected`], not an `Err`.
+    ///
+    /// [`InvalidData`]: std::io::ErrorKind::InvalidData
     pub fn campaign(&self, spec_json: &str) -> std::io::Result<CampaignOutcome> {
         let response = self.request("POST", "/campaign", Some(spec_json))?;
         if response.status != 200 {
             return Ok(CampaignOutcome::Rejected(response));
         }
-        let mut lines: Vec<String> = response
-            .body
-            .lines()
-            .filter(|l| !l.is_empty())
-            .map(str::to_owned)
-            .collect();
-        lines.sort_by_key(|line| line_cell_index(line).unwrap_or(u64::MAX));
-        Ok(CampaignOutcome::Completed(lines))
+        let invalid = |message: String| std::io::Error::new(ErrorKind::InvalidData, message);
+        let cells = CampaignSpec::parse(spec_json)
+            .map_err(invalid)?
+            .cells()
+            .len();
+        let mut seen = vec![0usize; cells];
+        let mut lines = Vec::with_capacity(cells);
+        for line in response.body.lines().filter(|l| !l.is_empty()) {
+            let index = line_cell_index(line)
+                .filter(|&i| i < cells as u64)
+                .ok_or_else(|| {
+                    invalid(format!("line without a cell index below {cells}: {line}"))
+                })?;
+            seen[index as usize] += 1;
+            lines.push((index, line.to_owned()));
+        }
+        if seen.iter().any(|&n| n != 1) {
+            let with = |count: fn(usize) -> bool| -> Vec<usize> {
+                (0..cells).filter(|&i| count(seen[i])).collect()
+            };
+            return Err(invalid(format!(
+                "campaign stream of {} lines for {cells} cells: missing cells {:?}, repeated cells {:?}",
+                lines.len(),
+                with(|n| n == 0),
+                with(|n| n > 1),
+            )));
+        }
+        lines.sort_by_key(|&(index, _)| index);
+        Ok(CampaignOutcome::Completed(
+            lines.into_iter().map(|(_, line)| line).collect(),
+        ))
     }
 }

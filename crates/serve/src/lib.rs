@@ -13,9 +13,12 @@
 //! - **single-flight**: identical concurrent cells are computed once per
 //!   process (store-level coalescing) and once per *fleet* (PR-7 lease
 //!   files, when a shared cache directory is configured);
-//! - **admission control**: a bounded cell queue, interactive queries
-//!   scheduled ahead of batch sweeps, overload answered with 429 +
-//!   `Retry-After`;
+//! - **admission control**: a fixed pool of connection handlers (503 +
+//!   `Retry-After` when it and its queue are full), a bounded cell
+//!   queue, interactive queries scheduled ahead of batch sweeps, overload
+//!   answered with 429 + `Retry-After`;
+//! - **fault isolation**: a cell that panics streams an error line and
+//!   leaves its worker serving;
 //! - **resident artifacts**: hot `WarmState` artifacts stay in memory
 //!   between requests under a byte-capped LRU
 //!   (`MICROLIB_SERVE_RESIDENT_MB`);

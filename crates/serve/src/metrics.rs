@@ -70,6 +70,9 @@ pub struct Metrics {
     pub healthz_requests: AtomicU64,
     /// Requests rejected by admission control (HTTP 429).
     pub rejected: AtomicU64,
+    /// Connections turned away because every handler was busy and the
+    /// connection queue was full (HTTP 503).
+    pub busy_rejects: AtomicU64,
     /// Malformed requests (HTTP 400) and unknown routes (404).
     pub bad_requests: AtomicU64,
     /// Campaigns refused because the daemon was draining (HTTP 503).
@@ -78,6 +81,8 @@ pub struct Metrics {
     pub cells_streamed: AtomicU64,
     /// Cells whose simulation returned an error line.
     pub cells_failed: AtomicU64,
+    /// Cells whose simulation panicked (also counted in `cells_failed`).
+    pub cells_panicked: AtomicU64,
     /// Cells currently queued (gauge).
     pub queue_depth: AtomicU64,
     /// Cells currently executing on a worker (gauge).
@@ -95,7 +100,7 @@ impl Metrics {
     /// (`store_*`), and the process RSS, as `name value` text.
     pub fn render(&self, store: &ArtifactStore) -> String {
         let mut out = String::with_capacity(4096);
-        let counters: [(&str, u64); 10] = [
+        let counters: [(&str, u64); 12] = [
             (
                 "serve_campaign_requests_total",
                 self.campaign_requests.load(Ordering::Relaxed),
@@ -113,6 +118,10 @@ impl Metrics {
                 self.rejected.load(Ordering::Relaxed),
             ),
             (
+                "serve_busy_rejects_total",
+                self.busy_rejects.load(Ordering::Relaxed),
+            ),
+            (
                 "serve_bad_requests_total",
                 self.bad_requests.load(Ordering::Relaxed),
             ),
@@ -127,6 +136,10 @@ impl Metrics {
             (
                 "serve_cells_failed_total",
                 self.cells_failed.load(Ordering::Relaxed),
+            ),
+            (
+                "serve_cells_panicked_total",
+                self.cells_panicked.load(Ordering::Relaxed),
             ),
             (
                 "serve_queue_depth",

@@ -5,33 +5,76 @@
 //! # Request flow
 //!
 //! ```text
-//! POST /campaign ── parse spec ── admission (bounded queue, 429 on
-//!   overload) ── enqueue cells (interactive queue ahead of batch) ──
-//!   workers run cells via ArtifactStore::run (store memo + in-process
-//!   single-flight + cross-process leases) ── NDJSON lines streamed back
-//!   as cells complete (Connection: close, body ends at EOF)
+//! accept thread (blocking accept) ── bounded connection queue ──
+//!   handler pool (HANDLERS threads) ── read the head (line and header
+//!   count bounded, 400 past them) ── POST /campaign: parse spec ──
+//!   admission (bounded cell queue, 429 on overload) ── enqueue cells
+//!   (interactive queue ahead of batch) ── workers run cells via
+//!   ArtifactStore::run (store memo + in-process single-flight +
+//!   cross-process leases) ── NDJSON lines streamed back as cells
+//!   complete (Connection: close, body ends at EOF)
 //! ```
+//!
+//! No step waits on a timer: the accept thread blocks in `accept`, hands
+//! each stream to the fixed pool of connection handlers and goes straight
+//! back to `accept`; handlers and workers block on condition variables.
+//!
+//! # Two kinds of "busy"
+//!
+//! - **503 + `Retry-After: 1`** (`serve_busy_rejects_total`): every
+//!   handler holds a connection and [`BACKLOG`] more wait for one. The
+//!   accept thread answers without reading the request, so a flood of
+//!   slow or idle connections cannot grow the thread count.
+//! - **429 + `Retry-After: 1`** (`serve_rejected_total`): a handler read
+//!   the campaign, but its cells would push the cell queue past
+//!   `queue_cap`. The campaign is refused whole.
+//!
+//! # Cells that panic
+//!
+//! A worker runs each cell under `catch_unwind`. A panicking cell streams
+//! an error line with its index, retires its in-flight gauge, bumps
+//! `serve_cells_panicked_total`, and leaves the worker serving.
 //!
 //! # Drain
 //!
-//! [`Server::shutdown`] (the binary calls it on SIGTERM) stops the
-//! accept loop, lets in-flight connections and queued cells finish,
-//! rejects new campaigns with 503 meanwhile, then releases the store's
-//! leases and fsyncs the memo journal — a drained daemon leaves a
-//! lease-free cache directory behind.
+//! [`Server::shutdown`] (the binary calls it on SIGTERM) sets the drain
+//! flag and wakes the blocked accept thread with one connection to its
+//! own address (`0.0.0.0`/`[::]` mapped to loopback); the accept thread
+//! sees the flag and returns. Handlers finish the connections they hold
+//! and the queued ones, answering new campaigns with 503 meanwhile;
+//! workers finish the queued cells. Then handlers and workers exit and
+//! are joined, and the store releases its leases and fsyncs the memo
+//! journal, so a drained daemon leaves a lease-free cache directory
+//! behind.
 
 use crate::metrics::Metrics;
 use crate::spec::{CampaignSpec, CellSpec, Class};
 use crate::{json, spec};
 use microlib::{ArtifactStore, CacheDir, FinishGuard, Settings};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Connection handler threads: CI's eight concurrent submitters plus a
+/// scrape, with headroom.
+pub const HANDLERS: usize = 64;
+/// Accepted connections that may wait for a free handler; past
+/// `HANDLERS + BACKLOG` open connections the accept thread answers 503.
+pub const BACKLOG: usize = HANDLERS;
+/// Longest request line or header line, newline included.
+const MAX_HEAD_LINE: u64 = 8 << 10;
+/// Most header lines in one request.
+const MAX_HEADERS: usize = 100;
+/// Largest request body. Specs are small; the bound keeps a hostile
+/// `Content-Length` from ballooning the allocation.
+const MAX_BODY: usize = 1 << 20;
 
 /// Daemon configuration (the binary fills this from flags/envs).
 #[derive(Clone, Debug)]
@@ -78,9 +121,12 @@ struct QueueState {
     queued: usize,
     /// Cells currently executing on a worker.
     inflight: usize,
-    /// Connections currently being handled.
+    /// Accepted connections waiting for a handler.
+    pending: VecDeque<TcpStream>,
+    /// Connections accepted and not yet closed (`pending` included).
     connections: usize,
-    /// Tells idle workers to exit (set after the queues drain).
+    /// Tells idle workers and handlers to exit (set after the queues
+    /// drain).
     stop: bool,
 }
 
@@ -90,6 +136,8 @@ struct Shared {
     state: Mutex<QueueState>,
     /// Wakes workers when work arrives (or `stop` is set).
     work_cv: Condvar,
+    /// Wakes handlers when a connection arrives (or `stop` is set).
+    conn_cv: Condvar,
     /// Wakes the drain loop when a connection or cell retires.
     idle_cv: Condvar,
     drain: AtomicBool,
@@ -101,7 +149,8 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Cell workers and connection handlers.
+    threads: Vec<JoinHandle<()>>,
     /// Sweeps leases + journal when the server drops, whatever the exit
     /// path — `shutdown` also sweeps explicitly on the clean path.
     _finish: FinishGuard,
@@ -124,12 +173,12 @@ impl Server {
         Self::start_with_settings(config, &Settings::default())
     }
 
-    /// Binds the listener, spawns the accept loop and worker pool, and
-    /// returns immediately. The daemon serves until
-    /// [`shutdown`](Server::shutdown) (or drop). Its store always shares
-    /// artifacts and, with a cache directory, claims cells through
-    /// leases; `settings` supply the lease timeout, retry budget, worker
-    /// id, steal grace and warm-state disk cap.
+    /// Binds the listener, spawns the accept thread, the connection
+    /// handlers and the worker pool, and returns immediately. The daemon
+    /// serves until [`shutdown`](Server::shutdown) (or drop). Its store
+    /// always shares artifacts and, with a cache directory, claims cells
+    /// through leases; `settings` supply the lease timeout, retry budget,
+    /// worker id, steal grace and warm-state disk cap.
     ///
     /// # Errors
     ///
@@ -150,24 +199,26 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             store: Arc::clone(&store),
             metrics: Metrics::default(),
             state: Mutex::new(QueueState::default()),
             work_cv: Condvar::new(),
+            conn_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             drain: AtomicBool::new(false),
             queue_cap: config.queue_cap.max(1),
         });
-        let workers = (0..config.threads.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
+        let spawn = |name: String, body: fn(&Shared)| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || body(&shared))
+                .expect("spawn serve thread")
+        };
+        let threads = (0..config.threads.max(1))
+            .map(|i| spawn(format!("serve-worker-{i}"), worker_loop))
+            .chain((0..HANDLERS).map(|i| spawn(format!("serve-conn-{i}"), handler_loop)))
             .collect();
         let accept = {
             let shared = Arc::clone(&shared);
@@ -180,7 +231,7 @@ impl Server {
             shared,
             addr,
             accept: Some(accept),
-            workers,
+            threads,
             _finish: store.finish_guard(),
         })
     }
@@ -200,13 +251,24 @@ impl Server {
         self.shared.drain.load(Ordering::SeqCst)
     }
 
-    /// Graceful drain: stop accepting, finish every in-flight connection
-    /// and queued cell, retire the workers, then release leases and
-    /// fsync the memo journal. Idempotent; called by the binary on
+    /// Graceful drain: stop accepting, finish every open connection and
+    /// queued cell, retire the handlers and workers, then release leases
+    /// and fsync the memo journal. Idempotent; called by the binary on
     /// SIGTERM and by `Drop`.
     pub fn shutdown(&mut self) {
         self.shared.drain.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            // The accept thread is blocked in `accept`: one connection to
+            // ourselves wakes it to see the drain flag.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(if wake.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = accept.join();
         }
         {
@@ -217,8 +279,9 @@ impl Server {
             state.stop = true;
         }
         self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        self.shared.conn_cv.notify_all();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
         self.shared.store.finish();
     }
@@ -230,37 +293,34 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                {
-                    let mut state = shared.state.lock().expect("queue lock");
-                    state.connections += 1;
-                }
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("serve-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_shared);
-                        let mut state = conn_shared.state.lock().expect("queue lock");
-                        state.connections -= 1;
-                        drop(state);
-                        conn_shared.idle_cv.notify_all();
-                    });
-                if spawned.is_err() {
-                    let mut state = shared.state.lock().expect("queue lock");
-                    state.connections -= 1;
-                    drop(state);
-                    shared.idle_cv.notify_all();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Ok((mut stream, _peer)) => {
                 if shared.drain.load(Ordering::SeqCst) {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                let mut state = shared.state.lock().expect("queue lock");
+                if state.connections >= HANDLERS + BACKLOG {
+                    drop(state);
+                    shared.metrics.busy_rejects.fetch_add(1, Ordering::Relaxed);
+                    respond(
+                        &mut stream,
+                        "503 Service Unavailable",
+                        &[("Retry-After", "1".to_owned())],
+                        "all connection handlers busy, retry later\n",
+                    );
+                    // Briefly: this thread must get back to `accept`.
+                    close_unread(stream, Duration::from_millis(10));
+                    continue;
+                }
+                state.connections += 1;
+                state.pending.push_back(stream);
+                drop(state);
+                shared.conn_cv.notify_one();
             }
+            // A real accept failure (e.g. EMFILE): back off so a
+            // persistent one does not spin.
             Err(_) => {
                 if shared.drain.load(Ordering::SeqCst) {
                     return;
@@ -271,7 +331,29 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
+fn handler_loop(shared: &Shared) {
+    loop {
+        let stream = {
+            let mut state = shared.state.lock().expect("queue lock");
+            loop {
+                if let Some(stream) = state.pending.pop_front() {
+                    break stream;
+                }
+                if state.stop {
+                    return;
+                }
+                state = shared.conn_cv.wait(state).expect("queue lock");
+            }
+        };
+        handle_connection(stream, shared);
+        let mut state = shared.state.lock().expect("queue lock");
+        state.connections -= 1;
+        drop(state);
+        shared.idle_cv.notify_all();
+    }
+}
+
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut state = shared.state.lock().expect("queue lock");
@@ -300,7 +382,16 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let started = Instant::now();
-        let line = spec::run_cell(&shared.store, &job.cell);
+        let cell = &job.cell;
+        let line = catch_unwind(AssertUnwindSafe(|| spec::run_cell(&shared.store, cell)))
+            .unwrap_or_else(|payload| {
+                shared
+                    .metrics
+                    .cells_panicked
+                    .fetch_add(1, Ordering::Relaxed);
+                let message = format!("cell panicked: {}", panic_message(&*payload));
+                spec::render_error(cell.index, cell.benchmark, cell.mechanism, &message)
+            });
         shared
             .metrics
             .cell_latency
@@ -331,11 +422,29 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
+}
+
 /// A parsed request head plus body.
 struct Request {
     method: String,
     path: String,
     body: String,
+}
+
+/// Reads one line of the request head into `line`: `None` at EOF, on a
+/// read error, or when the line runs past [`MAX_HEAD_LINE`] without its
+/// newline.
+fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> Option<()> {
+    line.clear();
+    reader.take(MAX_HEAD_LINE).read_line(line).ok()?;
+    line.ends_with('\n').then_some(())
 }
 
 fn read_request(stream: &mut TcpStream) -> Option<Request> {
@@ -344,17 +453,26 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
         .ok()?;
     let mut reader = BufReader::new(stream.try_clone().ok()?);
     let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    read_head_line(&mut reader, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_owned();
     let path = parts.next()?.to_owned();
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+    let mut header = String::new();
+    for _ in 0..=MAX_HEADERS {
+        read_head_line(&mut reader, &mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
-            break;
+            if content_length > MAX_BODY {
+                return None;
+            }
+            let mut body = vec![0u8; content_length];
+            reader.read_exact(&mut body).ok()?;
+            return Some(Request {
+                method,
+                path,
+                body: String::from_utf8(body).ok()?,
+            });
         }
         if let Some(value) = header
             .to_ascii_lowercase()
@@ -365,18 +483,26 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
             content_length = value;
         }
     }
-    // Specs are small; a megabyte bound keeps a hostile Content-Length
-    // from ballooning the allocation.
-    if content_length > 1 << 20 {
-        return None;
+    None
+}
+
+/// Half-closes `stream`, then discards what the client still sends for
+/// at most `within` before closing, so unread input does not reset the
+/// connection before the client has read the response.
+fn close_unread(stream: TcpStream, within: Duration) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + within;
+    let mut sink = [0u8; 8 << 10];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&stream).read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(Request {
-        method,
-        path,
-        body: String::from_utf8(body).ok()?,
-    })
 }
 
 fn respond(stream: &mut TcpStream, status: &str, extra_headers: &[(&str, String)], body: &str) {
@@ -396,11 +522,12 @@ fn respond(stream: &mut TcpStream, status: &str, extra_headers: &[(&str, String)
     let _ = stream.flush();
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let started = Instant::now();
     let Some(request) = read_request(&mut stream) else {
         shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
         respond(&mut stream, "400 Bad Request", &[], "malformed request\n");
+        close_unread(stream, Duration::from_secs(1));
         return;
     };
     match (request.method.as_str(), request.path.as_str()) {
@@ -441,7 +568,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn handle_campaign(stream: &mut TcpStream, shared: &Arc<Shared>, body: &str) {
+fn handle_campaign(stream: &mut TcpStream, shared: &Shared, body: &str) {
     let spec = match CampaignSpec::parse(body) {
         Ok(spec) => spec,
         Err(message) => {

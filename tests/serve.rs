@@ -2,18 +2,26 @@
 //! byte-for-byte what the library computes, coalesce identical
 //! in-flight cells to one compute, turn away overload deterministically
 //! with a retry hint, keep its metrics consistent with the requests it
-//! served, and hold resident warm state under the configured byte cap.
+//! served, hold resident warm state under the configured byte cap,
+//! survive panicking cells and hostile request heads, and answer a warm
+//! query without waiting on a timer.
 
 use microlib::{ArtifactStore, Cell, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
+use microlib_serve::json::Json;
+use microlib_serve::server::{BACKLOG, HANDLERS};
 use microlib_serve::{
     metric_value, render_result, run_cell, CampaignOutcome, CampaignSpec, Client, Server,
     ServerConfig,
 };
 use microlib_trace::TraceWindow;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// Boots an in-process daemon on an ephemeral port (memory-only store
 /// unless the config says otherwise) and a client pointed at it.
@@ -29,6 +37,20 @@ fn boot(config: ServerConfig) -> (Server, Client) {
         "daemon not ready"
     );
     (server, client)
+}
+
+/// Drains `server` on another thread and fails the test if the drain
+/// has not returned within `timeout`, instead of hanging the suite.
+fn shutdown_within(mut server: Server, timeout: Duration) {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(timeout).is_ok(),
+        "shutdown did not return within {timeout:?}"
+    );
 }
 
 fn completed(client: &Client, spec: &str) -> Vec<String> {
@@ -272,4 +294,237 @@ fn warm_lru_respects_byte_cap_and_recaptures() {
         store.warm_resident_bytes() <= cap,
         "cap holds after re-entry"
     );
+}
+
+/// A panicking cell (fault-injected) costs one error line, not a worker:
+/// the line carries the cell's index, the panic is counted, the
+/// in-flight gauge settles to zero, the lone worker serves the next
+/// campaign, and the drain returns. Fault arming is process-global, so
+/// the armed pair (applu × SP) appears in no other test of this binary.
+#[test]
+fn panicking_cell_streams_an_error_line_and_the_worker_survives() {
+    microlib::fault::arm("cell@applu+SP:*:panic").expect("fault spec parses");
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let spec = r#"{"benchmarks":["applu"],"mechanisms":["Base","SP"],
+                   "window":{"skip":500,"simulate":500}}"#;
+    let lines = completed(&client, spec);
+    assert_eq!(lines.len(), 2, "one line per cell: {lines:?}");
+    assert!(!lines[0].contains("\"error\""), "{}", lines[0]);
+    assert!(
+        lines[1].starts_with("{\"cell\":1,\"benchmark\":\"applu\",\"mechanism\":\"SP\",\"error\":\"cell panicked: injected fault"),
+        "{}",
+        lines[1]
+    );
+    let metrics = client.metrics().expect("metrics scrape");
+    assert_eq!(
+        metric_value(&metrics, "serve_cells_panicked_total"),
+        Some(1)
+    );
+    assert_eq!(metric_value(&metrics, "serve_cells_failed_total"), Some(1));
+    assert_eq!(metric_value(&metrics, "serve_inflight_cells"), Some(0));
+
+    let follow_up = r#"{"benchmarks":["applu"],"mechanisms":["Base"],
+                        "window":{"skip":500,"simulate":600}}"#;
+    let lines = completed(&client, follow_up);
+    assert_eq!(lines.len(), 1);
+    assert!(!lines[0].contains("\"error\""), "{}", lines[0]);
+    shutdown_within(server, Duration::from_secs(60));
+    microlib::fault::disarm();
+}
+
+/// `Client::campaign` counts the cell indices of a `200` stream against
+/// the spec: a stream one line short is an `InvalidData` error naming
+/// the missing cell, not a `Completed` with a hole in it.
+#[test]
+fn client_rejects_a_stream_missing_a_cell() {
+    let stub = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = stub.local_addr().expect("stub address");
+    let stub = std::thread::spawn(move || {
+        let (mut stream, _) = stub.accept().expect("accept the client");
+        stream
+            .write_all(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n\
+                  {\"cell\":0,\"benchmark\":\"swim\",\"mechanism\":\"Base\",\"error\":\"stub\"}\n",
+            )
+            .expect("stub response");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+    });
+    let spec = r#"{"benchmarks":["swim"],"mechanisms":["Base","GHB"]}"#;
+    let error = Client::new(addr.to_string())
+        .campaign(spec)
+        .expect_err("a one-line stream for a two-cell campaign");
+    assert_eq!(error.kind(), ErrorKind::InvalidData);
+    assert!(error.to_string().contains("missing cells [1]"), "{error}");
+    stub.join().expect("stub thread");
+}
+
+/// A request head line is read at most 8 KiB deep: a 1 MiB header line
+/// with no newline is answered 400 (counted as a bad request) at once,
+/// not after the 10 s read timeout of a reader waiting for the newline,
+/// and the daemon goes on answering.
+#[test]
+fn oversized_header_line_is_rejected_and_the_daemon_survives() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let before = client.metrics().expect("metrics scrape");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nX-Long: ")
+        .expect("head");
+    stream.write_all(&vec![b'a'; 1 << 20]).expect("1 MiB line");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("response");
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    drop(stream);
+    assert!(client.healthz().expect("healthz after the long line"));
+    let after = client.metrics().expect("metrics scrape");
+    let bad = |text: &str| metric_value(text, "serve_bad_requests_total").expect("counter");
+    assert_eq!(bad(&after) - bad(&before), 1);
+    drop(server);
+}
+
+/// When every handler holds a connection and the connection queue is
+/// full, the next connection gets 503 + `Retry-After` from the accept
+/// thread (counted apart from the 429 queue cap), and the daemon serves
+/// normally once the idle connections go away.
+#[test]
+fn full_handler_pool_answers_503() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let idle: Vec<TcpStream> = (0..HANDLERS + BACKLOG)
+        .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+        .collect();
+    let response = raw_get(&server, "/healthz");
+    assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+    assert!(response.contains("\r\nRetry-After: 1\r\n"), "{response}");
+    // Each held or queued connection now sends its request and is
+    // answered in turn.
+    for stream in idle {
+        let response = send_get(stream, "/healthz");
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    }
+    let metrics = client.metrics().expect("metrics scrape");
+    assert_eq!(metric_value(&metrics, "serve_busy_rejects_total"), Some(1));
+    assert_eq!(metric_value(&metrics, "serve_rejected_total"), Some(0));
+    shutdown_within(server, Duration::from_secs(60));
+}
+
+/// Sends `GET path` on `stream` and reads the whole response.
+fn send_get(mut stream: TcpStream, path: &str) -> String {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    write!(stream, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").expect("request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("response");
+    response
+}
+
+/// `GET path` on a fresh connection to `server`, raw response text.
+fn raw_get(server: &Server, path: &str) -> String {
+    send_get(TcpStream::connect(server.addr()).expect("connect"), path)
+}
+
+/// Draining a daemon bound to the wildcard address returns: the wake-up
+/// connection goes to loopback.
+#[test]
+fn wildcard_bound_daemon_drains() {
+    let server = Server::start(ServerConfig {
+        addr: "0.0.0.0:0".to_owned(),
+        threads: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind wildcard port");
+    let client = Client::new(format!("127.0.0.1:{}", server.addr().port()));
+    assert!(
+        client.wait_ready(Duration::from_secs(5)),
+        "daemon not ready"
+    );
+    shutdown_within(server, Duration::from_secs(30));
+}
+
+/// No request waits on a timer: 200 sequential memo-hit queries finish
+/// in under half a second. An accept loop that polls every 5 ms needs
+/// about a second for them.
+#[test]
+fn warm_queries_do_not_wait_on_a_poll() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let spec = r#"{"benchmarks":["wupwise"],"mechanisms":["Base"],
+                   "window":{"skip":500,"simulate":500}}"#;
+    let first = completed(&client, spec);
+    let started = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(completed(&client, spec), first);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "200 warm queries took {elapsed:?}"
+    );
+    drop(server);
+}
+
+/// Seeded random inputs up to 1 MiB never panic the request parsers:
+/// raw bytes, JSON punctuation soup, and byte edits of a valid spec.
+#[test]
+fn request_parsers_never_panic_on_random_input() {
+    const VALID: &[u8] = br#"{"benchmarks":["swim","gcc"],"mechanisms":["Base","GHB"],"overrides":"ruu=16,mem=const200","window":{"skip":2000,"simulate":2000},"seed":"0x1234","sampling":"10000/4/500","class":"batch"}"#;
+    const SOUP: &[u8] = b"{}[]{}[]\"\",:\\ \t\n0123456789.-+eEtrufalsn";
+    for case in 0..96u64 {
+        let mut rng =
+            SmallRng::seed_from_u64(0x5EED_F00D ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let len = if case % 16 == 0 {
+            1 << 20
+        } else {
+            let bits = rng.gen_range(1..21usize);
+            rng.gen_range(0..1usize << bits)
+        };
+        let bytes: Vec<u8> = match case % 3 {
+            0 => (0..len).map(|_| rng.gen::<u64>() as u8).collect(),
+            1 => (0..len)
+                .map(|_| SOUP[rng.gen_range(0..SOUP.len())])
+                .collect(),
+            _ => {
+                let mut bytes = VALID.to_vec();
+                for _ in 0..rng.gen_range(1..8usize) {
+                    let at = rng.gen_range(0..bytes.len());
+                    let byte = SOUP[rng.gen_range(0..SOUP.len())];
+                    match rng.gen_range(0..3u32) {
+                        0 => bytes[at] = byte,
+                        1 => bytes.insert(at, byte),
+                        _ => {
+                            bytes.remove(at);
+                        }
+                    }
+                }
+                bytes
+            }
+        };
+        let text = String::from_utf8_lossy(&bytes);
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = Json::parse(&text);
+            let _ = CampaignSpec::parse(&text);
+        });
+        assert!(
+            outcome.is_ok(),
+            "case {case} ({} bytes) panicked",
+            bytes.len()
+        );
+    }
 }
