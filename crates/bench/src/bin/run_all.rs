@@ -941,7 +941,10 @@ fn main() {
         exit(run_mine(&cli, settings));
     }
     let out_dir = cli.out_dir.clone().unwrap_or_else(|| default_out_dir(&cli));
-    fs::create_dir_all(&out_dir).expect("results dir");
+    if fs::create_dir_all(&out_dir).is_err() {
+        eprintln!("cannot create {out_dir}/");
+        exit(2);
+    }
     let mut cx = Context::with_settings(settings);
     // Drop-time sweep for every path that unwinds or returns without
     // reaching the explicit finish() below: no exit leaves lease files
@@ -981,7 +984,11 @@ fn main() {
         // orchestrator's isolation, kept across the in-process port.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(&mut cx, &mut captured)));
         let path = format!("{out_dir}/{name}.txt");
-        fs::write(&path, &captured).expect("write result");
+        if fs::write(&path, &captured).is_err() {
+            eprintln!("cannot write {path}");
+            cx.store().finish();
+            exit(2);
+        }
         match outcome {
             Ok(Ok(())) => println!("    -> {path} ({:.1?})", t.elapsed()),
             Ok(Err(e)) => {

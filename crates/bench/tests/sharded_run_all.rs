@@ -378,3 +378,24 @@ fn run_banner_shows_the_effective_settings() {
     assert!(!table.contains("settings: "));
     let _ = fs::remove_dir_all(&root);
 }
+
+/// An output directory that cannot be created is reported by path with
+/// exit 2, not a panic.
+#[test]
+fn unwritable_out_dir_exits_2() {
+    let root = tmp_dir("unwritable");
+    let file = root.join("not-a-dir");
+    fs::write(&file, b"occupied").unwrap();
+    let out = run_all()
+        .args(["--no-cache", "--only", "tab01_config", "--out-dir"])
+        .arg(&file)
+        .output()
+        .unwrap();
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot create {}", file.display())),
+        "{stderr}"
+    );
+    let _ = fs::remove_dir_all(&root);
+}

@@ -141,14 +141,14 @@ pub fn run_analytic(
     }
     let after = WarmSnapshot::capture(&mem);
 
+    let l1d = after.l1d - before.l1d;
     let counters = CpiCounters {
         instructions,
-        data_accesses: (after.l1d.loads - before.l1d.loads)
-            + (after.l1d.stores - before.l1d.stores),
-        l1d_misses: after.l1d.misses - before.l1d.misses,
-        sidecar_hits: after.l1d.sidecar_hits - before.l1d.sidecar_hits,
-        l1i_misses: after.l1i.misses - before.l1i.misses,
-        l2_misses: after.l2.misses - before.l2.misses,
+        data_accesses: l1d.accesses(),
+        l1d_misses: l1d.misses,
+        sidecar_hits: l1d.sidecar_hits,
+        l1i_misses: (after.l1i - before.l1i).misses,
+        l2_misses: (after.l2 - before.l2).misses,
     };
     let breakdown = CpiModel::for_config(config).predict(&counters);
     Ok(AnalyticResult {

@@ -139,51 +139,55 @@ struct PlanSlot {
 /// (benchmark, seed, region skip, region simulate, interval, max clusters).
 type PlanKey = (&'static str, u64, u64, u64, u64, usize);
 
-/// Hit/miss counters for the three artifact classes (observability; the
-/// numbers are reported by `run_all` on stderr).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArtifactStoreStats {
-    /// Trace requests served from a shared buffer.
-    pub trace_hits: u64,
-    /// Trace requests that had to build (or extend) a buffer.
-    pub trace_misses: u64,
-    /// Warm-state requests served from a shared checkpoint.
-    pub warm_hits: u64,
-    /// Warm-state requests that had to run a recording warm phase.
-    pub warm_misses: u64,
-    /// First-time warm-state requests declined (capture deferred until a
-    /// second requester proves reuse).
-    pub warm_declined: u64,
-    /// Sampling-plan requests served from a shared plan.
-    pub plan_hits: u64,
-    /// Sampling-plan requests that had to profile and cluster.
-    pub plan_misses: u64,
-    /// Cell results served from the in-memory memo cache.
-    pub memo_hits: u64,
-    /// Cell results that had to simulate.
-    pub memo_misses: u64,
-    /// Cell results served from the on-disk tier (a RAM miss that decoded
-    /// a valid disk entry; **not** counted in `memo_misses`).
-    pub memo_disk_hits: u64,
-    /// Sampling plans served from the on-disk tier.
-    pub plan_disk_hits: u64,
-    /// Warm states served from the on-disk tier.
-    pub warm_disk_hits: u64,
-    /// Cells this process claimed (and computed) through the lease layer.
-    pub lease_claims: u64,
-    /// Cells this process waited out instead of computing: another
-    /// worker held the lease (or owned the shard) and the memo arrived.
-    pub lease_waits: u64,
-    /// Cells refused because they were quarantined (crashed too many
-    /// consecutive claimers).
-    pub cells_quarantined: u64,
-    /// Same-key cell requests that arrived while the cell was already
-    /// being computed in this process and waited for the leader's memo
-    /// instead of re-simulating (in-process single-flight).
-    pub memo_coalesced: u64,
-    /// Resident warm states dropped to respect the byte cap set by
-    /// [`ArtifactStore::set_warm_resident_cap`].
-    pub warm_evictions: u64,
+microlib_model::counters! {
+    /// Hit/miss counters for the three artifact classes (observability; the
+    /// numbers are reported by `run_all` on stderr, and every field by the
+    /// daemon's `/metrics` as `store_<field>`).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ArtifactStoreStats {
+        /// Trace requests served from a shared buffer.
+        pub trace_hits: u64,
+        /// Trace requests that had to build (or extend) a buffer.
+        pub trace_misses: u64,
+        /// Warm-state requests served from a shared checkpoint.
+        pub warm_hits: u64,
+        /// Warm-state requests that had to run a recording warm phase.
+        pub warm_misses: u64,
+        /// First-time warm-state requests declined (capture deferred until a
+        /// second requester proves reuse).
+        pub warm_declined: u64,
+        /// Sampling-plan requests served from a shared plan.
+        pub plan_hits: u64,
+        /// Sampling-plan requests that had to profile and cluster.
+        pub plan_misses: u64,
+        /// Cell results served from the in-memory memo cache.
+        pub memo_hits: u64,
+        /// Cell results that had to simulate.
+        pub memo_misses: u64,
+        /// Cell results served from the on-disk tier (a RAM miss that decoded
+        /// a valid disk entry; **not** counted in `memo_misses`).
+        pub memo_disk_hits: u64,
+        /// Sampling plans served from the on-disk tier.
+        pub plan_disk_hits: u64,
+        /// Warm states served from the on-disk tier.
+        pub warm_disk_hits: u64,
+        /// Cells this process claimed (and computed) through the lease layer.
+        pub lease_claims: u64,
+        /// Cells this process waited out instead of computing: another
+        /// worker held the lease (or owned the shard) and the memo arrived.
+        pub lease_waits: u64,
+        /// Cells refused because they were quarantined (crashed too many
+        /// consecutive claimers).
+        pub cells_quarantined: u64,
+        /// Same-key cell requests that arrived while the cell was already
+        /// being computed in this process and waited for the leader's memo
+        /// instead of re-simulating (in-process single-flight).
+        pub memo_coalesced: u64,
+        /// Resident warm states dropped to respect the byte cap set by
+        /// [`ArtifactStore::set_warm_resident_cap`].
+        pub warm_evictions: u64,
+    }
+    atomic StoreCounters;
 }
 
 impl ArtifactStoreStats {
@@ -243,23 +247,7 @@ pub struct ArtifactStore {
     warm_bytes: AtomicU64,
     /// Monotone tick stamping warm-state recency for LRU eviction.
     warm_tick: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    warm_hits: AtomicU64,
-    warm_misses: AtomicU64,
-    warm_declined: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    memo_disk_hits: AtomicU64,
-    plan_disk_hits: AtomicU64,
-    warm_disk_hits: AtomicU64,
-    lease_claims: AtomicU64,
-    lease_waits: AtomicU64,
-    cells_quarantined: AtomicU64,
-    memo_coalesced: AtomicU64,
-    warm_evictions: AtomicU64,
+    counts: StoreCounters,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -296,23 +284,7 @@ impl ArtifactStore {
             warm_cap: AtomicU64::new(u64::MAX),
             warm_bytes: AtomicU64::new(0),
             warm_tick: AtomicU64::new(0),
-            trace_hits: AtomicU64::new(0),
-            trace_misses: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            warm_misses: AtomicU64::new(0),
-            warm_declined: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            memo_disk_hits: AtomicU64::new(0),
-            plan_disk_hits: AtomicU64::new(0),
-            warm_disk_hits: AtomicU64::new(0),
-            lease_claims: AtomicU64::new(0),
-            lease_waits: AtomicU64::new(0),
-            cells_quarantined: AtomicU64::new(0),
-            memo_coalesced: AtomicU64::new(0),
-            warm_evictions: AtomicU64::new(0),
+            counts: StoreCounters::default(),
         }
     }
 
@@ -387,25 +359,7 @@ impl ArtifactStore {
 
     /// Hit/miss counters accumulated so far.
     pub fn stats(&self) -> ArtifactStoreStats {
-        ArtifactStoreStats {
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_misses: self.warm_misses.load(Ordering::Relaxed),
-            warm_declined: self.warm_declined.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            memo_disk_hits: self.memo_disk_hits.load(Ordering::Relaxed),
-            plan_disk_hits: self.plan_disk_hits.load(Ordering::Relaxed),
-            warm_disk_hits: self.warm_disk_hits.load(Ordering::Relaxed),
-            lease_claims: self.lease_claims.load(Ordering::Relaxed),
-            lease_waits: self.lease_waits.load(Ordering::Relaxed),
-            cells_quarantined: self.cells_quarantined.load(Ordering::Relaxed),
-            memo_coalesced: self.memo_coalesced.load(Ordering::Relaxed),
-            warm_evictions: self.warm_evictions.load(Ordering::Relaxed),
-        }
+        self.counts.snapshot()
     }
 
     /// The shared workload and trace buffer for `(benchmark, seed)`,
@@ -436,11 +390,11 @@ impl ArtifactStore {
         let mut state = slot.state.lock().expect("trace slot lock");
         if let Some((workload, buffer)) = state.as_ref() {
             if buffer.len() >= min_len {
-                self.trace_hits.fetch_add(1, Ordering::Relaxed);
+                self.counts.trace_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((Arc::clone(workload), Arc::clone(buffer)));
             }
         }
-        self.trace_misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.trace_misses.fetch_add(1, Ordering::Relaxed);
         let workload = match state.take() {
             Some((workload, _short)) => workload,
             None => Arc::new(Workload::new(profile, seed)),
@@ -489,7 +443,7 @@ impl ArtifactStore {
         // capture instead of duplicating it.
         let mut gate = gate.lock().expect("warm gate lock");
         if let Some(state) = gate.state.clone() {
-            self.warm_hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.warm_hits.fetch_add(1, Ordering::Relaxed);
             gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(state));
         }
@@ -521,7 +475,7 @@ impl ArtifactStore {
             if let Ok(state) =
                 WarmState::decode(&mut d, config, &base).and_then(|s| d.finish().map(|_| s))
             {
-                self.warm_disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.counts.warm_disk_hits.fetch_add(1, Ordering::Relaxed);
                 let state = Arc::new(state);
                 self.warm_install(&mut gate, &state);
                 drop(gate);
@@ -531,10 +485,10 @@ impl ArtifactStore {
         }
         gate.requests += 1;
         if gate.requests < 2 {
-            self.warm_declined.fetch_add(1, Ordering::Relaxed);
+            self.counts.warm_declined.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
-        self.warm_misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.warm_misses.fetch_add(1, Ordering::Relaxed);
         let insts = TraceBuffer::replay_from(&buffer, warm_start)
             .take((skip - warm_start) as usize)
             .map(|inst| (inst.pc, inst.warm_mem_ref()));
@@ -619,7 +573,7 @@ impl ArtifactStore {
                 if g.state.take().is_some() {
                     self.warm_bytes.fetch_sub(g.bytes as u64, Ordering::Relaxed);
                     g.bytes = 0;
-                    self.warm_evictions.fetch_add(1, Ordering::Relaxed);
+                    self.counts.warm_evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -662,7 +616,7 @@ impl ArtifactStore {
         // profiling pass instead of duplicating it.
         let mut state = slot.state.lock().expect("plan slot lock");
         if let Some(plan) = state.as_ref() {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
         let disk_key = format!(
@@ -674,13 +628,13 @@ impl ArtifactStore {
         if let Some(payload) = self.disk.as_ref().and_then(|d| d.load("plan", &disk_key)) {
             let mut d = Decoder::new(&payload);
             if let Ok(plan) = SamplingPlan::decode(&mut d).and_then(|p| d.finish().map(|_| p)) {
-                self.plan_disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.counts.plan_disk_hits.fetch_add(1, Ordering::Relaxed);
                 let plan = Arc::new(plan);
                 *state = Some(Arc::clone(&plan));
                 return Ok(plan);
             }
         }
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.plan_misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(SamplingPlan::profile(
             TraceBuffer::replay(&buffer),
             region,
@@ -732,13 +686,13 @@ impl ArtifactStore {
     /// computation, in [`memo_run`](ArtifactStore::memo_run).
     pub(crate) fn memo_probe(&self, key: &str) -> Option<Arc<RunResult>> {
         if let Some(hit) = self.memo.lock().expect("memo lock").get(key).cloned() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.memo_hits.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
         if let Some(payload) = self.disk.as_ref().and_then(|d| d.load("memo", key)) {
             let mut d = Decoder::new(&payload);
             if let Ok(result) = RunResult::decode(&mut d).and_then(|r| d.finish().map(|_| r)) {
-                self.memo_disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.counts.memo_disk_hits.fetch_add(1, Ordering::Relaxed);
                 let result = Arc::new(result);
                 self.memo
                     .lock()
@@ -803,7 +757,7 @@ impl ArtifactStore {
                     return self.memo_run_leader(key, cell, benchmark, repro, compute);
                 }
                 Role::Follower(flight) => {
-                    self.memo_coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.counts.memo_coalesced.fetch_add(1, Ordering::Relaxed);
                     let mut done = flight.done.lock().expect("flight lock");
                     while !*done {
                         done = flight.cv.wait(done).expect("flight lock");
@@ -834,7 +788,7 @@ impl ArtifactStore {
             if let Some(hit) = self.memo_probe(key) {
                 return Ok(hit);
             }
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
+            self.counts.memo_misses.fetch_add(1, Ordering::Relaxed);
             let result = compute()?;
             self.memo_put(key.to_owned(), result);
             return Ok(self.memo.lock().expect("memo lock")[key].clone());
@@ -849,7 +803,7 @@ impl ArtifactStore {
         loop {
             if let Some(hit) = self.memo_probe(key) {
                 if waited {
-                    self.lease_waits.fetch_add(1, Ordering::Relaxed);
+                    self.counts.lease_waits.fetch_add(1, Ordering::Relaxed);
                 }
                 return Ok(hit);
             }
@@ -865,8 +819,8 @@ impl ArtifactStore {
             }
             match lease.claim(key, cell, repro) {
                 Claim::Acquired(guard) => {
-                    self.lease_claims.fetch_add(1, Ordering::Relaxed);
-                    self.memo_misses.fetch_add(1, Ordering::Relaxed);
+                    self.counts.lease_claims.fetch_add(1, Ordering::Relaxed);
+                    self.counts.memo_misses.fetch_add(1, Ordering::Relaxed);
                     let compute = compute.take().expect("claim acquired once");
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
                     match outcome {
@@ -897,7 +851,9 @@ impl ArtifactStore {
                     poll = (poll * 2).min(poll_cap);
                 }
                 Claim::Quarantined { attempts } => {
-                    self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
+                    self.counts
+                        .cells_quarantined
+                        .fetch_add(1, Ordering::Relaxed);
                     return Err(crate::lease::quarantined_error(benchmark, attempts));
                 }
             }

@@ -65,10 +65,6 @@ pub enum SamplingMode {
     },
 }
 
-/// Aggregator over the weighted parts: scales one `u64` counter of each
-/// part to whole-window terms and sums.
-type CounterAgg<'a> = &'a dyn Fn(&dyn Fn(&RunResult) -> u64) -> u64;
-
 impl SamplingMode {
     /// The default SimPoint configuration for a window: twenty intervals
     /// across the simulated region but never shorter than 10 000
@@ -197,7 +193,8 @@ fn combine(
         .iter()
         .map(|(w, r)| w * total as f64 / r.perf.instructions.max(1) as f64)
         .collect();
-    let agg_u64 = |get: &dyn Fn(&RunResult) -> u64| -> u64 {
+    // Each part's counter times its scale, summed over the parts in order.
+    let agg = |get: &dyn Fn(&RunResult) -> u64| -> u64 {
         parts
             .iter()
             .zip(&scales)
@@ -205,16 +202,6 @@ fn combine(
             .sum::<f64>()
             .round() as u64
     };
-    macro_rules! agg {
-        ($($f:ident).+) => {
-            agg_u64(&|r: &RunResult| r.$($f).+)
-        };
-    }
-    macro_rules! agg_opt {
-        ($outer:ident, $f:ident) => {
-            agg_u64(&|r: &RunResult| r.$outer.map_or(0, |m| m.$f))
-        };
-    }
 
     let points: Vec<SampledPoint> = plan
         .points()
@@ -232,18 +219,6 @@ fn combine(
     let cycles = (estimate.cpi * total as f64).round() as u64;
 
     let first = &parts[0].1;
-    let core = CoreStats {
-        committed: total,
-        cycles,
-        fetched: agg!(core.fetched),
-        mispredict_stall_cycles: agg!(core.mispredict_stall_cycles),
-        icache_stall_cycles: agg!(core.icache_stall_cycles),
-        loads_forwarded: agg!(core.loads_forwarded),
-        cache_reject_stalls: agg!(core.cache_reject_stalls),
-        window_full_stalls: agg!(core.window_full_stalls),
-        lsq_full_stalls: agg!(core.lsq_full_stalls),
-        store_commit_stalls: agg!(core.store_commit_stalls),
-    };
     RunResult {
         benchmark: first.benchmark,
         mechanism: label,
@@ -251,65 +226,28 @@ fn combine(
             instructions: total,
             cycles,
         },
-        core,
-        l1d: combine_cache(&agg_u64, &|r| &r.l1d),
-        l1i: combine_cache(&agg_u64, &|r| &r.l1i),
-        l2: combine_cache(&agg_u64, &|r| &r.l2),
-        memory: MemoryStats {
-            requests: agg!(memory.requests),
-            total_latency: agg!(memory.total_latency),
-            row_hits: agg!(memory.row_hits),
-            precharges: agg!(memory.precharges),
-            bus_busy_cycles: agg!(memory.bus_busy_cycles),
-            queue_wait_cycles: agg!(memory.queue_wait_cycles),
+        core: CoreStats {
+            committed: total,
+            cycles,
+            ..CoreStats::from_fn(|get| agg(&|r| get(&r.core)))
         },
-        mech_l1: first.mech_l1.is_some().then(|| MechanismStats {
-            table_reads: agg_opt!(mech_l1, table_reads),
-            table_writes: agg_opt!(mech_l1, table_writes),
-            prefetches_requested: agg_opt!(mech_l1, prefetches_requested),
-            prefetches_useful: agg_opt!(mech_l1, prefetches_useful),
-            sidecar_hits: agg_opt!(mech_l1, sidecar_hits),
-            sidecar_misses: agg_opt!(mech_l1, sidecar_misses),
-            victims_captured: agg_opt!(mech_l1, victims_captured),
+        l1d: CacheStats::from_fn(|get| agg(&|r| get(&r.l1d))),
+        l1i: CacheStats::from_fn(|get| agg(&|r| get(&r.l1i))),
+        l2: CacheStats::from_fn(|get| agg(&|r| get(&r.l2))),
+        memory: MemoryStats::from_fn(|get| agg(&|r| get(&r.memory))),
+        mech_l1: first
+            .mech_l1
+            .map(|_| MechanismStats::from_fn(|get| agg(&|r| r.mech_l1.map_or(0, |m| get(&m))))),
+        mech_l2: first
+            .mech_l2
+            .map(|_| MechanismStats::from_fn(|get| agg(&|r| r.mech_l2.map_or(0, |m| get(&m))))),
+        queue_l1: first.queue_l1.map(|_| {
+            PrefetchQueueStats::from_fn(|get| agg(&|r| r.queue_l1.map_or(0, |q| get(&q))))
         }),
-        mech_l2: first.mech_l2.is_some().then(|| MechanismStats {
-            table_reads: agg_opt!(mech_l2, table_reads),
-            table_writes: agg_opt!(mech_l2, table_writes),
-            prefetches_requested: agg_opt!(mech_l2, prefetches_requested),
-            prefetches_useful: agg_opt!(mech_l2, prefetches_useful),
-            sidecar_hits: agg_opt!(mech_l2, sidecar_hits),
-            sidecar_misses: agg_opt!(mech_l2, sidecar_misses),
-            victims_captured: agg_opt!(mech_l2, victims_captured),
-        }),
-        queue_l1: first.queue_l1.is_some().then(|| PrefetchQueueStats {
-            accepted: agg_opt!(queue_l1, accepted),
-            discarded: agg_opt!(queue_l1, discarded),
-            duplicates: agg_opt!(queue_l1, duplicates),
-        }),
-        queue_l2: first.queue_l2.is_some().then(|| PrefetchQueueStats {
-            accepted: agg_opt!(queue_l2, accepted),
-            discarded: agg_opt!(queue_l2, discarded),
-            duplicates: agg_opt!(queue_l2, duplicates),
+        queue_l2: first.queue_l2.map(|_| {
+            PrefetchQueueStats::from_fn(|get| agg(&|r| r.queue_l2.map_or(0, |q| get(&q))))
         }),
         hardware: first.hardware.clone(),
         sampling: Some(estimate),
-    }
-}
-
-fn combine_cache(agg_u64: CounterAgg<'_>, get: &dyn Fn(&RunResult) -> &CacheStats) -> CacheStats {
-    CacheStats {
-        loads: agg_u64(&|r| get(r).loads),
-        stores: agg_u64(&|r| get(r).stores),
-        misses: agg_u64(&|r| get(r).misses),
-        sidecar_hits: agg_u64(&|r| get(r).sidecar_hits),
-        mshr_merges: agg_u64(&|r| get(r).mshr_merges),
-        mshr_full_stalls: agg_u64(&|r| get(r).mshr_full_stalls),
-        pipeline_stalls: agg_u64(&|r| get(r).pipeline_stalls),
-        port_stalls: agg_u64(&|r| get(r).port_stalls),
-        demand_fills: agg_u64(&|r| get(r).demand_fills),
-        prefetch_fills: agg_u64(&|r| get(r).prefetch_fills),
-        useful_prefetches: agg_u64(&|r| get(r).useful_prefetches),
-        writebacks: agg_u64(&|r| get(r).writebacks),
-        useless_prefetch_evictions: agg_u64(&|r| get(r).useless_prefetch_evictions),
     }
 }

@@ -13,6 +13,7 @@ use microlib_model::{
 };
 use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceWindow, Workload};
 use std::fmt;
+use std::ops::Sub;
 use std::sync::Arc;
 
 /// Everything a simulation run needs besides the system configuration.
@@ -193,85 +194,21 @@ impl StatsSnapshot {
     /// `end - self`, field by field (all counters are monotone).
     fn delta_from(&self, end: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
-            core: sub_core(&end.core, &self.core),
-            l1d: sub_cache(&end.l1d, &self.l1d),
-            l1i: sub_cache(&end.l1i, &self.l1i),
-            l2: sub_cache(&end.l2, &self.l2),
-            memory: sub_memory(&end.memory, &self.memory),
-            mech_l1: sub_opt(end.mech_l1, self.mech_l1, sub_mech),
-            mech_l2: sub_opt(end.mech_l2, self.mech_l2, sub_mech),
-            queue_l1: sub_opt(end.queue_l1, self.queue_l1, sub_queue),
-            queue_l2: sub_opt(end.queue_l2, self.queue_l2, sub_queue),
+            core: end.core - self.core,
+            l1d: end.l1d - self.l1d,
+            l1i: end.l1i - self.l1i,
+            l2: end.l2 - self.l2,
+            memory: end.memory - self.memory,
+            mech_l1: sub_opt(end.mech_l1, self.mech_l1),
+            mech_l2: sub_opt(end.mech_l2, self.mech_l2),
+            queue_l1: sub_opt(end.queue_l1, self.queue_l1),
+            queue_l2: sub_opt(end.queue_l2, self.queue_l2),
         }
     }
 }
 
-fn sub_opt<T: Copy + Default>(end: Option<T>, start: Option<T>, sub: fn(&T, &T) -> T) -> Option<T> {
-    end.map(|e| sub(&e, &start.unwrap_or_default()))
-}
-
-fn sub_core(a: &CoreStats, b: &CoreStats) -> CoreStats {
-    CoreStats {
-        committed: a.committed - b.committed,
-        cycles: a.cycles - b.cycles,
-        fetched: a.fetched - b.fetched,
-        mispredict_stall_cycles: a.mispredict_stall_cycles - b.mispredict_stall_cycles,
-        icache_stall_cycles: a.icache_stall_cycles - b.icache_stall_cycles,
-        loads_forwarded: a.loads_forwarded - b.loads_forwarded,
-        cache_reject_stalls: a.cache_reject_stalls - b.cache_reject_stalls,
-        window_full_stalls: a.window_full_stalls - b.window_full_stalls,
-        lsq_full_stalls: a.lsq_full_stalls - b.lsq_full_stalls,
-        store_commit_stalls: a.store_commit_stalls - b.store_commit_stalls,
-    }
-}
-
-fn sub_cache(a: &CacheStats, b: &CacheStats) -> CacheStats {
-    CacheStats {
-        loads: a.loads - b.loads,
-        stores: a.stores - b.stores,
-        misses: a.misses - b.misses,
-        sidecar_hits: a.sidecar_hits - b.sidecar_hits,
-        mshr_merges: a.mshr_merges - b.mshr_merges,
-        mshr_full_stalls: a.mshr_full_stalls - b.mshr_full_stalls,
-        pipeline_stalls: a.pipeline_stalls - b.pipeline_stalls,
-        port_stalls: a.port_stalls - b.port_stalls,
-        demand_fills: a.demand_fills - b.demand_fills,
-        prefetch_fills: a.prefetch_fills - b.prefetch_fills,
-        useful_prefetches: a.useful_prefetches - b.useful_prefetches,
-        writebacks: a.writebacks - b.writebacks,
-        useless_prefetch_evictions: a.useless_prefetch_evictions - b.useless_prefetch_evictions,
-    }
-}
-
-fn sub_memory(a: &MemoryStats, b: &MemoryStats) -> MemoryStats {
-    MemoryStats {
-        requests: a.requests - b.requests,
-        total_latency: a.total_latency - b.total_latency,
-        row_hits: a.row_hits - b.row_hits,
-        precharges: a.precharges - b.precharges,
-        bus_busy_cycles: a.bus_busy_cycles - b.bus_busy_cycles,
-        queue_wait_cycles: a.queue_wait_cycles - b.queue_wait_cycles,
-    }
-}
-
-fn sub_mech(a: &MechanismStats, b: &MechanismStats) -> MechanismStats {
-    MechanismStats {
-        table_reads: a.table_reads - b.table_reads,
-        table_writes: a.table_writes - b.table_writes,
-        prefetches_requested: a.prefetches_requested - b.prefetches_requested,
-        prefetches_useful: a.prefetches_useful - b.prefetches_useful,
-        sidecar_hits: a.sidecar_hits - b.sidecar_hits,
-        sidecar_misses: a.sidecar_misses - b.sidecar_misses,
-        victims_captured: a.victims_captured - b.victims_captured,
-    }
-}
-
-fn sub_queue(a: &PrefetchQueueStats, b: &PrefetchQueueStats) -> PrefetchQueueStats {
-    PrefetchQueueStats {
-        accepted: a.accepted - b.accepted,
-        discarded: a.discarded - b.discarded,
-        duplicates: a.duplicates - b.duplicates,
-    }
+fn sub_opt<T: Default + Sub<Output = T>>(end: Option<T>, start: Option<T>) -> Option<T> {
+    end.map(|e| e - start.unwrap_or_default())
 }
 
 /// Why a simulation run failed.
@@ -838,5 +775,107 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.perf.instructions, 2_000);
+    }
+
+    /// Pins the memo byte layout: every counter of every bundle holds a
+    /// distinct value, so a reordered, dropped or added field changes the
+    /// hash even where a round trip would still succeed.
+    #[test]
+    fn memo_byte_layout_is_pinned() {
+        use microlib_model::stats::SampledPoint;
+        let mut n = 0u64;
+        let mut next = || {
+            n += 1;
+            n
+        };
+        let mut cache = || CacheStats {
+            loads: next(),
+            stores: next(),
+            misses: next(),
+            sidecar_hits: next(),
+            mshr_merges: next(),
+            mshr_full_stalls: next(),
+            pipeline_stalls: next(),
+            port_stalls: next(),
+            demand_fills: next(),
+            prefetch_fills: next(),
+            useful_prefetches: next(),
+            writebacks: next(),
+            useless_prefetch_evictions: next(),
+        };
+        let (l1d, l1i, l2) = (cache(), cache(), cache());
+        let perf = PerfSummary {
+            instructions: next(),
+            cycles: next(),
+        };
+        let core = CoreStats {
+            committed: next(),
+            cycles: next(),
+            fetched: next(),
+            mispredict_stall_cycles: next(),
+            icache_stall_cycles: next(),
+            loads_forwarded: next(),
+            cache_reject_stalls: next(),
+            window_full_stalls: next(),
+            lsq_full_stalls: next(),
+            store_commit_stalls: next(),
+        };
+        let memory = MemoryStats {
+            requests: next(),
+            total_latency: next(),
+            row_hits: next(),
+            precharges: next(),
+            bus_busy_cycles: next(),
+            queue_wait_cycles: next(),
+        };
+        let mut mech = || MechanismStats {
+            table_reads: next(),
+            table_writes: next(),
+            prefetches_requested: next(),
+            prefetches_useful: next(),
+            sidecar_hits: next(),
+            sidecar_misses: next(),
+            victims_captured: next(),
+        };
+        let (mech_l1, mech_l2) = (mech(), mech());
+        let mut queue = || PrefetchQueueStats {
+            accepted: next(),
+            discarded: next(),
+            duplicates: next(),
+        };
+        let (queue_l1, queue_l2) = (queue(), queue());
+        let result = RunResult {
+            benchmark: "mcf",
+            mechanism: MechanismKind::CdpSp,
+            perf,
+            core,
+            l1d,
+            l1i,
+            l2,
+            memory,
+            mech_l1: Some(mech_l1),
+            mech_l2: Some(mech_l2),
+            queue_l1: Some(queue_l1),
+            queue_l2: Some(queue_l2),
+            hardware: HardwareBudget::none("CDPSP"),
+            sampling: Some(SamplingEstimate::from_points(vec![SampledPoint {
+                interval: 3,
+                weight: 1.0,
+                cpi: 1.5,
+            }])),
+        };
+        let mut e = microlib_model::Encoder::new();
+        result.encode(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            microlib_model::codec::fnv1a(&bytes),
+            0xd5a5_1c2f_a342_6987,
+            "memo layout moved ({} bytes)",
+            bytes.len()
+        );
+        let back = RunResult::decode(&mut microlib_model::Decoder::new(&bytes)).unwrap();
+        assert_eq!(back.core, result.core);
+        assert_eq!(back.l2, result.l2);
+        assert_eq!(back.queue_l2, result.queue_l2);
     }
 }

@@ -34,7 +34,6 @@
 
 use crate::fu::{latency, FuPool};
 use microlib_mem::{Completion, IssueRejection, IssueResult, MemorySystem, ReqId};
-use microlib_model::codec::{BinCodec, CodecError, Decoder, Encoder};
 use microlib_model::{Addr, CoreConfig, Cycle};
 use microlib_trace::{OpClass, TraceInst};
 use std::collections::VecDeque;
@@ -54,31 +53,33 @@ enum SlotState {
     Completed,
 }
 
-/// Aggregate counters for one simulation run of the core. Every counter is
-/// maintained incrementally in the pipeline stages — nothing is re-derived
-/// by scanning the window.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct CoreStats {
-    /// Instructions committed.
-    pub committed: u64,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Instructions fetched.
-    pub fetched: u64,
-    /// Cycles fetch was blocked on an unresolved mispredicted branch.
-    pub mispredict_stall_cycles: u64,
-    /// Cycles fetch was blocked on an instruction-cache miss.
-    pub icache_stall_cycles: u64,
-    /// Loads satisfied by store-to-load forwarding in the LSQ.
-    pub loads_forwarded: u64,
-    /// Issue attempts refused by the cache (ports/MSHR/pipeline).
-    pub cache_reject_stalls: u64,
-    /// Cycles dispatch stalled because the RUU was full.
-    pub window_full_stalls: u64,
-    /// Cycles dispatch stalled because the LSQ was full.
-    pub lsq_full_stalls: u64,
-    /// Cycles commit stalled because a store could not reach the cache.
-    pub store_commit_stalls: u64,
+microlib_model::counters! {
+    /// Aggregate counters for one simulation run of the core. Every counter is
+    /// maintained incrementally in the pipeline stages — nothing is re-derived
+    /// by scanning the window.
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct CoreStats {
+        /// Instructions committed.
+        pub committed: u64,
+        /// Cycles simulated.
+        pub cycles: u64,
+        /// Instructions fetched.
+        pub fetched: u64,
+        /// Cycles fetch was blocked on an unresolved mispredicted branch.
+        pub mispredict_stall_cycles: u64,
+        /// Cycles fetch was blocked on an instruction-cache miss.
+        pub icache_stall_cycles: u64,
+        /// Loads satisfied by store-to-load forwarding in the LSQ.
+        pub loads_forwarded: u64,
+        /// Issue attempts refused by the cache (ports/MSHR/pipeline).
+        pub cache_reject_stalls: u64,
+        /// Cycles dispatch stalled because the RUU was full.
+        pub window_full_stalls: u64,
+        /// Cycles dispatch stalled because the LSQ was full.
+        pub lsq_full_stalls: u64,
+        /// Cycles commit stalled because a store could not reach the cache.
+        pub store_commit_stalls: u64,
+    }
 }
 
 impl CoreStats {
@@ -89,35 +90,6 @@ impl CoreStats {
         } else {
             self.committed as f64 / self.cycles as f64
         }
-    }
-}
-
-impl BinCodec for CoreStats {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u64(self.committed);
-        e.put_u64(self.cycles);
-        e.put_u64(self.fetched);
-        e.put_u64(self.mispredict_stall_cycles);
-        e.put_u64(self.icache_stall_cycles);
-        e.put_u64(self.loads_forwarded);
-        e.put_u64(self.cache_reject_stalls);
-        e.put_u64(self.window_full_stalls);
-        e.put_u64(self.lsq_full_stalls);
-        e.put_u64(self.store_commit_stalls);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(CoreStats {
-            committed: d.take_u64()?,
-            cycles: d.take_u64()?,
-            fetched: d.take_u64()?,
-            mispredict_stall_cycles: d.take_u64()?,
-            icache_stall_cycles: d.take_u64()?,
-            loads_forwarded: d.take_u64()?,
-            cache_reject_stalls: d.take_u64()?,
-            window_full_stalls: d.take_u64()?,
-            lsq_full_stalls: d.take_u64()?,
-            store_commit_stalls: d.take_u64()?,
-        })
     }
 }
 

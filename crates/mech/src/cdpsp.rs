@@ -101,17 +101,7 @@ impl Mechanism for CdpSp {
     }
 
     fn stats(&self) -> MechanismStats {
-        let a = self.sp.stats();
-        let b = self.cdp.stats();
-        MechanismStats {
-            table_reads: a.table_reads + b.table_reads,
-            table_writes: a.table_writes + b.table_writes,
-            prefetches_requested: a.prefetches_requested + b.prefetches_requested,
-            prefetches_useful: a.prefetches_useful + b.prefetches_useful,
-            sidecar_hits: a.sidecar_hits + b.sidecar_hits,
-            sidecar_misses: a.sidecar_misses + b.sidecar_misses,
-            victims_captured: a.victims_captured + b.victims_captured,
-        }
+        self.sp.stats() + self.cdp.stats()
     }
 
     fn reset(&mut self) {

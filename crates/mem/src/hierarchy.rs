@@ -1889,17 +1889,17 @@ impl MemorySystem {
 
     /// L1 data cache counters (excluding the warmup phase).
     pub fn l1d_stats(&self) -> CacheStats {
-        delta_stats(&self.l1d.stats, &self.l1d_stats_base)
+        self.l1d.stats - self.l1d_stats_base
     }
 
     /// L1 instruction cache counters (excluding the warmup phase).
     pub fn l1i_stats(&self) -> CacheStats {
-        delta_stats(&self.l1i.stats, &self.l1i_stats_base)
+        self.l1i.stats - self.l1i_stats_base
     }
 
     /// L2 counters (excluding the warmup phase).
     pub fn l2_stats(&self) -> CacheStats {
-        delta_stats(&self.l2.stats, &self.l2_stats_base)
+        self.l2.stats - self.l2_stats_base
     }
 
     /// Main-memory counters (plus bus busy time folded in).
@@ -1938,25 +1938,6 @@ impl MemorySystem {
             && self.mem_pending.is_empty()
             && self.mem_inflight.is_empty()
             && self.buffer_inflight.is_empty()
-    }
-}
-
-fn delta_stats(now: &CacheStats, base: &CacheStats) -> CacheStats {
-    CacheStats {
-        loads: now.loads - base.loads,
-        stores: now.stores - base.stores,
-        misses: now.misses - base.misses,
-        sidecar_hits: now.sidecar_hits - base.sidecar_hits,
-        mshr_merges: now.mshr_merges - base.mshr_merges,
-        mshr_full_stalls: now.mshr_full_stalls - base.mshr_full_stalls,
-        pipeline_stalls: now.pipeline_stalls - base.pipeline_stalls,
-        port_stalls: now.port_stalls - base.port_stalls,
-        demand_fills: now.demand_fills - base.demand_fills,
-        prefetch_fills: now.prefetch_fills - base.prefetch_fills,
-        useful_prefetches: now.useful_prefetches - base.useful_prefetches,
-        writebacks: now.writebacks - base.writebacks,
-        useless_prefetch_evictions: now.useless_prefetch_evictions
-            - base.useless_prefetch_evictions,
     }
 }
 

@@ -363,11 +363,9 @@ impl<T: BinCodec> BinCodec for Vec<T> {
 
 // --- model value types ----------------------------------------------------
 
-use crate::event::{
-    AccessEvent, AccessOutcome, EvictEvent, PrefetchQueueStats, RefillCause, RefillEvent,
-};
-use crate::mechanism::{HardwareBudget, MechanismStats, SramTable};
-use crate::stats::{CacheStats, MemoryStats, PerfSummary, SampledPoint, SamplingEstimate};
+use crate::event::{AccessEvent, AccessOutcome, EvictEvent, RefillCause, RefillEvent};
+use crate::mechanism::{HardwareBudget, SramTable};
+use crate::stats::{SampledPoint, SamplingEstimate};
 use crate::types::{AccessKind, Addr, AttachPoint, Cycle, LineData};
 
 impl BinCodec for Addr {
@@ -538,69 +536,6 @@ impl BinCodec for RefillEvent {
     }
 }
 
-/// Encodes a struct of plain counters field by field (and decodes in the
-/// same order). Field order is part of the format.
-macro_rules! counter_codec {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
-        impl BinCodec for $ty {
-            fn encode(&self, e: &mut Encoder) {
-                $(e.put_u64(self.$field);)+
-            }
-            fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-                Ok($ty {
-                    $($field: d.take_u64()?,)+
-                })
-            }
-        }
-    };
-}
-
-counter_codec!(CacheStats {
-    loads,
-    stores,
-    misses,
-    sidecar_hits,
-    mshr_merges,
-    mshr_full_stalls,
-    pipeline_stalls,
-    port_stalls,
-    demand_fills,
-    prefetch_fills,
-    useful_prefetches,
-    writebacks,
-    useless_prefetch_evictions,
-});
-
-counter_codec!(MemoryStats {
-    requests,
-    total_latency,
-    row_hits,
-    precharges,
-    bus_busy_cycles,
-    queue_wait_cycles,
-});
-
-counter_codec!(PerfSummary {
-    instructions,
-    cycles,
-});
-
-counter_codec!(MechanismStats {
-    table_reads,
-    table_writes,
-    prefetches_requested,
-    prefetches_useful,
-    sidecar_hits,
-    sidecar_misses,
-    victims_captured,
-});
-
-counter_codec!(PrefetchQueueStats {
-    accepted,
-    discarded,
-    duplicates,
-});
-
 impl BinCodec for SampledPoint {
     fn encode(&self, e: &mut Encoder) {
         e.put_usize(self.interval);
@@ -666,6 +601,7 @@ impl BinCodec for HardwareBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{CacheStats, PerfSummary};
 
     fn round_trip<T: BinCodec + PartialEq + std::fmt::Debug>(v: T) {
         let mut e = Encoder::new();

@@ -186,15 +186,17 @@ pub struct PrefetchQueue {
     stats: PrefetchQueueStats,
 }
 
-/// Occupancy and loss statistics for a [`PrefetchQueue`].
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct PrefetchQueueStats {
-    /// Requests accepted into the queue.
-    pub accepted: u64,
-    /// Requests discarded because the queue was full.
-    pub discarded: u64,
-    /// Requests dropped because an identical line was already queued.
-    pub duplicates: u64,
+crate::counters! {
+    /// Occupancy and loss statistics for a [`PrefetchQueue`].
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct PrefetchQueueStats {
+        /// Requests accepted into the queue.
+        pub accepted: u64,
+        /// Requests discarded because the queue was full.
+        pub discarded: u64,
+        /// Requests dropped because an identical line was already queued.
+        pub duplicates: u64,
+    }
 }
 
 impl PrefetchQueue {

@@ -229,24 +229,26 @@ impl HardwareBudget {
     }
 }
 
-/// Activity counters every mechanism accumulates; the power model multiplies
-/// these by per-access energies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MechanismStats {
-    /// Reads of mechanism tables (lookups).
-    pub table_reads: u64,
-    /// Writes/updates of mechanism tables.
-    pub table_writes: u64,
-    /// Prefetch requests the mechanism tried to enqueue.
-    pub prefetches_requested: u64,
-    /// Prefetched lines that were later demand-hit (useful prefetches).
-    pub prefetches_useful: u64,
-    /// Misses serviced from sidecar storage.
-    pub sidecar_hits: u64,
-    /// Sidecar probes that missed.
-    pub sidecar_misses: u64,
-    /// Victim lines captured into sidecar storage.
-    pub victims_captured: u64,
+crate::counters! {
+    /// Activity counters every mechanism accumulates; the power model multiplies
+    /// these by per-access energies.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct MechanismStats {
+        /// Reads of mechanism tables (lookups).
+        pub table_reads: u64,
+        /// Writes/updates of mechanism tables.
+        pub table_writes: u64,
+        /// Prefetch requests the mechanism tried to enqueue.
+        pub prefetches_requested: u64,
+        /// Prefetched lines that were later demand-hit (useful prefetches).
+        pub prefetches_useful: u64,
+        /// Misses serviced from sidecar storage.
+        pub sidecar_hits: u64,
+        /// Sidecar probes that missed.
+        pub sidecar_misses: u64,
+        /// Victim lines captured into sidecar storage.
+        pub victims_captured: u64,
+    }
 }
 
 impl MechanismStats {

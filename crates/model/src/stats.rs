@@ -4,35 +4,143 @@
 
 use std::fmt;
 
-/// Counters accumulated by one cache level.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct CacheStats {
-    /// Demand load accesses.
-    pub loads: u64,
-    /// Demand store accesses.
-    pub stores: u64,
-    /// Demand misses (loads + stores).
-    pub misses: u64,
-    /// Misses serviced by mechanism sidecar storage.
-    pub sidecar_hits: u64,
-    /// Misses merged into an existing MSHR entry.
-    pub mshr_merges: u64,
-    /// Cycles a request stalled because every MSHR was busy or full.
-    pub mshr_full_stalls: u64,
-    /// Cycles a request stalled on a cache-pipeline hazard.
-    pub pipeline_stalls: u64,
-    /// Cycles a request stalled because no port was free.
-    pub port_stalls: u64,
-    /// Lines filled (demand).
-    pub demand_fills: u64,
-    /// Lines filled (prefetch).
-    pub prefetch_fills: u64,
-    /// Prefetched lines that saw a later demand hit.
-    pub useful_prefetches: u64,
-    /// Dirty victims written back.
-    pub writebacks: u64,
-    /// Evictions of prefetched-but-never-used lines.
-    pub useless_prefetch_evictions: u64,
+/// Declares a bundle of `u64` counters once and derives everything that
+/// walks its fields, so adding a counter is one line in the declaration:
+///
+/// - the struct itself, with the attributes and doc comments given;
+/// - its [`BinCodec`](crate::BinCodec): every field as a `u64`, in
+///   declaration order (that order is the on-disk memo layout);
+/// - field-wise `Sub` (an interval's delta; like `-`, it panics on
+///   underflow in debug builds) and `Add`;
+/// - `from_fn(|get| …)`, which builds each field from the closure, called
+///   once per field in declaration order with that field's accessor;
+/// - `fields()`, every `(name, value)` pair in declaration order.
+///
+/// A trailing `atomic Name;` also declares a module-private twin holding
+/// one `AtomicU64` per field, for counters bumped from several threads;
+/// its `snapshot()` reads every field (`Relaxed`) into the plain bundle.
+///
+/// # Examples
+///
+/// ```
+/// microlib_model::counters! {
+///     /// Two counters.
+///     #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+///     pub struct Pair {
+///         /// First.
+///         pub a: u64,
+///         /// Second.
+///         pub b: u64,
+///     }
+/// }
+///
+/// let end = Pair { a: 5, b: 7 };
+/// let start = Pair { a: 1, b: 2 };
+/// assert_eq!(end - start, Pair { a: 4, b: 5 });
+/// assert_eq!(Pair::from_fn(|get| get(&end) * 10), Pair { a: 50, b: 70 });
+/// assert_eq!(end.fields().collect::<Vec<_>>(), [("a", 5), ("b", 7)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (@atomic [] $name:ident { $($field:ident)+ }) => {};
+    (@atomic [$atomic:ident] $name:ident { $($field:ident)+ }) => {
+        #[derive(Debug, Default)]
+        struct $atomic {
+            $( $field: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        impl $atomic {
+            fn snapshot(&self) -> $name {
+                use ::std::sync::atomic::Ordering::Relaxed;
+                $name { $( $field: self.$field.load(Relaxed), )+ }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident: u64, )+
+        }
+        $( atomic $atomic:ident; )?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: u64, )+
+        }
+
+        impl $name {
+            /// Builds every counter from `f`, called once per field in
+            /// declaration order with that field's accessor.
+            pub fn from_fn(mut f: impl FnMut(fn(&Self) -> u64) -> u64) -> Self {
+                $name { $( $field: f(|s| s.$field), )+ }
+            }
+
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (stringify!($field), self.$field) ),+].into_iter()
+            }
+        }
+
+        impl ::std::ops::Sub for $name {
+            type Output = Self;
+            fn sub(self, rhs: Self) -> Self {
+                $name { $( $field: self.$field - rhs.$field, )+ }
+            }
+        }
+
+        impl ::std::ops::Add for $name {
+            type Output = Self;
+            fn add(self, rhs: Self) -> Self {
+                $name { $( $field: self.$field + rhs.$field, )+ }
+            }
+        }
+
+        impl $crate::codec::BinCodec for $name {
+            fn encode(&self, e: &mut $crate::codec::Encoder) {
+                $( e.put_u64(self.$field); )+
+            }
+            fn decode(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                Ok($name { $( $field: d.take_u64()?, )+ })
+            }
+        }
+
+        $crate::counters!(@atomic [$($atomic)?] $name { $($field)+ });
+    };
+}
+
+counters! {
+    /// Counters accumulated by one cache level.
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct CacheStats {
+        /// Demand load accesses.
+        pub loads: u64,
+        /// Demand store accesses.
+        pub stores: u64,
+        /// Demand misses (loads + stores).
+        pub misses: u64,
+        /// Misses serviced by mechanism sidecar storage.
+        pub sidecar_hits: u64,
+        /// Misses merged into an existing MSHR entry.
+        pub mshr_merges: u64,
+        /// Cycles a request stalled because every MSHR was busy or full.
+        pub mshr_full_stalls: u64,
+        /// Cycles a request stalled on a cache-pipeline hazard.
+        pub pipeline_stalls: u64,
+        /// Cycles a request stalled because no port was free.
+        pub port_stalls: u64,
+        /// Lines filled (demand).
+        pub demand_fills: u64,
+        /// Lines filled (prefetch).
+        pub prefetch_fills: u64,
+        /// Prefetched lines that saw a later demand hit.
+        pub useful_prefetches: u64,
+        /// Dirty victims written back.
+        pub writebacks: u64,
+        /// Evictions of prefetched-but-never-used lines.
+        pub useless_prefetch_evictions: u64,
+    }
 }
 
 impl CacheStats {
@@ -54,21 +162,23 @@ impl CacheStats {
     }
 }
 
-/// Counters accumulated by the main-memory model.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct MemoryStats {
-    /// Requests serviced.
-    pub requests: u64,
-    /// Sum of request latencies (CPU cycles), for averaging.
-    pub total_latency: u64,
-    /// Row-buffer hits (SDRAM only).
-    pub row_hits: u64,
-    /// Row conflicts requiring precharge (SDRAM only).
-    pub precharges: u64,
-    /// Cycles the memory bus was busy.
-    pub bus_busy_cycles: u64,
-    /// Cycles at least one request waited in the controller queue.
-    pub queue_wait_cycles: u64,
+counters! {
+    /// Counters accumulated by the main-memory model.
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct MemoryStats {
+        /// Requests serviced.
+        pub requests: u64,
+        /// Sum of request latencies (CPU cycles), for averaging.
+        pub total_latency: u64,
+        /// Row-buffer hits (SDRAM only).
+        pub row_hits: u64,
+        /// Row conflicts requiring precharge (SDRAM only).
+        pub precharges: u64,
+        /// Cycles the memory bus was busy.
+        pub bus_busy_cycles: u64,
+        /// Cycles at least one request waited in the controller queue.
+        pub queue_wait_cycles: u64,
+    }
 }
 
 impl MemoryStats {
@@ -83,13 +193,15 @@ impl MemoryStats {
     }
 }
 
-/// End-of-run performance summary for one simulation.
-#[derive(Clone, Copy, Default, PartialEq, Debug)]
-pub struct PerfSummary {
-    /// Instructions committed.
-    pub instructions: u64,
-    /// Cycles elapsed.
-    pub cycles: u64,
+counters! {
+    /// End-of-run performance summary for one simulation.
+    #[derive(Clone, Copy, Default, PartialEq, Debug)]
+    pub struct PerfSummary {
+        /// Instructions committed.
+        pub instructions: u64,
+        /// Cycles elapsed.
+        pub cycles: u64,
+    }
 }
 
 impl PerfSummary {

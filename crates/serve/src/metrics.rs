@@ -5,7 +5,7 @@
 //! observable. Rendered by [`Metrics::render`] in a Prometheus-flavoured
 //! text form (`name value`, histograms with `le` labels).
 
-use microlib::ArtifactStore;
+use microlib::{ArtifactStore, Settings};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,6 +75,9 @@ pub struct Metrics {
     pub busy_rejects: AtomicU64,
     /// Malformed requests (HTTP 400) and unknown routes (404).
     pub bad_requests: AtomicU64,
+    /// Requests whose head and body did not arrive before the request
+    /// deadline (HTTP 408).
+    pub head_timeouts: AtomicU64,
     /// Campaigns refused because the daemon was draining (HTTP 503).
     pub draining_rejects: AtomicU64,
     /// Result lines streamed (completed cells, errors included).
@@ -96,11 +99,15 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Renders every counter, gauge and histogram, the store's counters
-    /// (`store_*`), and the process RSS, as `name value` text.
-    pub fn render(&self, store: &ArtifactStore) -> String {
+    /// Renders a `# settings:` comment line with the daemon's effective
+    /// `settings`, then every counter, gauge and histogram, every field of
+    /// the store's [`ArtifactStoreStats`](microlib::ArtifactStoreStats) as
+    /// `store_<field>`, the resident warm bytes, and the process RSS, as
+    /// `name value` text.
+    pub fn render(&self, store: &ArtifactStore, settings: &Settings) -> String {
         let mut out = String::with_capacity(4096);
-        let counters: [(&str, u64); 12] = [
+        let _ = writeln!(out, "# settings: {settings}");
+        let counters: [(&str, u64); 13] = [
             (
                 "serve_campaign_requests_total",
                 self.campaign_requests.load(Ordering::Relaxed),
@@ -124,6 +131,10 @@ impl Metrics {
             (
                 "serve_bad_requests_total",
                 self.bad_requests.load(Ordering::Relaxed),
+            ),
+            (
+                "serve_head_timeouts_total",
+                self.head_timeouts.load(Ordering::Relaxed),
             ),
             (
                 "serve_draining_rejects_total",
@@ -159,22 +170,14 @@ impl Metrics {
             .render(&mut out, "serve_latency_us", "cell");
         self.probe_latency
             .render(&mut out, "serve_latency_us", "probe");
-        let stats = store.stats();
-        let store_counters: [(&str, u64); 10] = [
-            ("store_memo_hits", stats.memo_hits),
-            ("store_memo_misses", stats.memo_misses),
-            ("store_memo_disk_hits", stats.memo_disk_hits),
-            ("store_memo_coalesced", stats.memo_coalesced),
-            ("store_warm_hits", stats.warm_hits),
-            ("store_warm_misses", stats.warm_misses),
-            ("store_warm_evictions", stats.warm_evictions),
-            ("store_lease_claims", stats.lease_claims),
-            ("store_lease_waits", stats.lease_waits),
-            ("store_warm_resident_bytes", store.warm_resident_bytes()),
-        ];
-        for (name, value) in store_counters {
-            let _ = writeln!(out, "{name} {value}");
+        for (field, value) in store.stats().fields() {
+            let _ = writeln!(out, "store_{field} {value}");
         }
+        let _ = writeln!(
+            out,
+            "store_warm_resident_bytes {}",
+            store.warm_resident_bytes()
+        );
         let _ = writeln!(out, "process_rss_bytes {}", rss_bytes());
         out
     }
@@ -227,12 +230,31 @@ mod tests {
         let metrics = Metrics::default();
         metrics.campaign_requests.fetch_add(3, Ordering::Relaxed);
         let store = ArtifactStore::new();
-        let text = metrics.render(&store);
+        let settings = Settings::default();
+        let text = metrics.render(&store, &settings);
         assert_eq!(
             metric_value(&text, "serve_campaign_requests_total"),
             Some(3)
         );
-        assert_eq!(metric_value(&text, "store_memo_hits"), Some(0));
+        assert_eq!(metric_value(&text, "serve_head_timeouts_total"), Some(0));
+        assert_eq!(
+            text.lines().next(),
+            Some(&*format!("# settings: {settings}"))
+        );
+        for (field, value) in store.stats().fields() {
+            let name = format!("store_{field}");
+            assert_eq!(metric_value(&text, &name), Some(value), "{name}");
+        }
+        for name in [
+            "store_trace_hits",
+            "store_plan_misses",
+            "store_warm_declined",
+            "store_warm_disk_hits",
+            "store_cells_quarantined",
+            "store_warm_resident_bytes",
+        ] {
+            assert_eq!(metric_value(&text, name), Some(0), "{name}");
+        }
         assert!(metric_value(&text, "process_rss_bytes").unwrap() > 0);
     }
 }

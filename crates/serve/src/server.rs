@@ -6,8 +6,9 @@
 //!
 //! ```text
 //! accept thread (blocking accept) ── bounded connection queue ──
-//!   handler pool (HANDLERS threads) ── read the head (line and header
-//!   count bounded, 400 past them) ── POST /campaign: parse spec ──
+//!   handler pool (HANDLERS threads) ── read the head and body (line
+//!   and header count bounded, 400 past them; one deadline from accept,
+//!   408 past it) ── POST /campaign: parse spec ──
 //!   admission (bounded cell queue, 429 on overload) ── enqueue cells
 //!   (interactive queue ahead of batch) ── workers run cells via
 //!   ArtifactStore::run (store memo + in-process single-flight +
@@ -28,6 +29,16 @@
 //! - **429 + `Retry-After: 1`** (`serve_rejected_total`): a handler read
 //!   the campaign, but its cells would push the cell queue past
 //!   `queue_cap`. The campaign is refused whole.
+//!
+//! # Slow clients
+//!
+//! A request's head and body share one deadline, `REQUEST_DEADLINE`
+//! (10 s) after accept; each read waits only for the time left, so
+//! trickling bytes cannot extend it. Past it the handler answers 408 and
+//! bumps `serve_head_timeouts_total`. A connection that spent its
+//! deadline in the backlog still gets `PICKUP_GRACE` (250 ms) once picked
+//! up, so a flood of slow clients frees the pool about one deadline after
+//! it arrived.
 //!
 //! # Cells that panic
 //!
@@ -53,7 +64,7 @@ use crate::{json, spec};
 use microlib::{ArtifactStore, CacheDir, FinishGuard, Settings};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -75,6 +86,12 @@ const MAX_HEADERS: usize = 100;
 /// Largest request body. Specs are small; the bound keeps a hostile
 /// `Content-Length` from ballooning the allocation.
 const MAX_BODY: usize = 1 << 20;
+/// Time from accept to the last byte of the request head and body; past
+/// it the request is answered 408.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+/// Least time a handler gives a request it picks up, so a prompt client
+/// that waited out its deadline in the backlog is still read.
+const PICKUP_GRACE: Duration = Duration::from_millis(250);
 
 /// Daemon configuration (the binary fills this from flags/envs).
 #[derive(Clone, Debug)]
@@ -121,8 +138,9 @@ struct QueueState {
     queued: usize,
     /// Cells currently executing on a worker.
     inflight: usize,
-    /// Accepted connections waiting for a handler.
-    pending: VecDeque<TcpStream>,
+    /// Accepted connections waiting for a handler, with their accept
+    /// times.
+    pending: VecDeque<(TcpStream, Instant)>,
     /// Connections accepted and not yet closed (`pending` included).
     connections: usize,
     /// Tells idle workers and handlers to exit (set after the queues
@@ -132,6 +150,8 @@ struct QueueState {
 
 struct Shared {
     store: Arc<ArtifactStore>,
+    /// The settings the daemon runs with (printed by `/metrics`).
+    settings: Settings,
     metrics: Metrics,
     state: Mutex<QueueState>,
     /// Wakes workers when work arrives (or `stop` is set).
@@ -187,13 +207,15 @@ impl Server {
         config: ServerConfig,
         settings: &Settings,
     ) -> std::io::Result<Server> {
-        let store = Arc::new(ArtifactStore::from_settings(&Settings {
+        let settings = Settings {
+            threads: config.threads.max(1),
             artifacts: true,
             cache_dir: config.cache_dir.clone().map_or(CacheDir::Off, CacheDir::At),
             lease: true,
             shard: None,
             ..settings.clone()
-        }));
+        };
+        let store = Arc::new(ArtifactStore::from_settings(&settings));
         if let Some(cap) = config.resident_cap_bytes {
             store.set_warm_resident_cap(cap);
         }
@@ -201,6 +223,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             store: Arc::clone(&store),
+            settings,
             metrics: Metrics::default(),
             state: Mutex::new(QueueState::default()),
             work_cv: Condvar::new(),
@@ -315,7 +338,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     continue;
                 }
                 state.connections += 1;
-                state.pending.push_back(stream);
+                state.pending.push_back((stream, Instant::now()));
                 drop(state);
                 shared.conn_cv.notify_one();
             }
@@ -333,11 +356,11 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 
 fn handler_loop(shared: &Shared) {
     loop {
-        let stream = {
+        let (stream, accepted) = {
             let mut state = shared.state.lock().expect("queue lock");
             loop {
-                if let Some(stream) = state.pending.pop_front() {
-                    break stream;
+                if let Some(pending) = state.pending.pop_front() {
+                    break pending;
                 }
                 if state.stop {
                     return;
@@ -345,7 +368,8 @@ fn handler_loop(shared: &Shared) {
                 state = shared.conn_cv.wait(state).expect("queue lock");
             }
         };
-        handle_connection(stream, shared);
+        let deadline = (accepted + REQUEST_DEADLINE).max(Instant::now() + PICKUP_GRACE);
+        handle_connection(stream, deadline, shared);
         let mut state = shared.state.lock().expect("queue lock");
         state.connections -= 1;
         drop(state);
@@ -438,25 +462,63 @@ struct Request {
     body: String,
 }
 
-/// Reads one line of the request head into `line`: `None` at EOF, on a
-/// read error, or when the line runs past [`MAX_HEAD_LINE`] without its
-/// newline.
-fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> Option<()> {
-    line.clear();
-    reader.take(MAX_HEAD_LINE).read_line(line).ok()?;
-    line.ends_with('\n').then_some(())
+/// Why a request could not be read.
+enum BadRequest {
+    /// Unparseable, oversized, or cut short by the client (400).
+    Malformed,
+    /// The request deadline passed before the head and body arrived (408).
+    Timeout,
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
+impl From<io::Error> for BadRequest {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => BadRequest::Timeout,
+            _ => BadRequest::Malformed,
+        }
+    }
+}
+
+/// The request side of a connection under one deadline: each read waits
+/// at most for the time left, so a client trickling bytes cannot extend
+/// it.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads one line of the request head into `line`; a line that runs past
+/// [`MAX_HEAD_LINE`] or ends without its newline is malformed.
+fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), BadRequest> {
+    line.clear();
+    reader.take(MAX_HEAD_LINE).read_line(line)?;
+    if line.ends_with('\n') {
+        Ok(())
+    } else {
+        Err(BadRequest::Malformed)
+    }
+}
+
+fn read_request(stream: &TcpStream, deadline: Instant) -> Result<Request, BadRequest> {
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline });
     let mut line = String::new();
     read_head_line(&mut reader, &mut line)?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_owned();
-    let path = parts.next()?.to_owned();
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return Err(BadRequest::Malformed);
+    };
+    let (method, path) = (method.to_owned(), path.to_owned());
     let mut content_length = 0usize;
     let mut header = String::new();
     for _ in 0..=MAX_HEADERS {
@@ -464,14 +526,14 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
         let header = header.trim_end();
         if header.is_empty() {
             if content_length > MAX_BODY {
-                return None;
+                return Err(BadRequest::Malformed);
             }
             let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).ok()?;
-            return Some(Request {
+            reader.read_exact(&mut body)?;
+            return Ok(Request {
                 method,
                 path,
-                body: String::from_utf8(body).ok()?,
+                body: String::from_utf8(body).map_err(|_| BadRequest::Malformed)?,
             });
         }
         if let Some(value) = header
@@ -483,7 +545,7 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
             content_length = value;
         }
     }
-    None
+    Err(BadRequest::Malformed)
 }
 
 /// Half-closes `stream`, then discards what the client still sends for
@@ -522,13 +584,28 @@ fn respond(stream: &mut TcpStream, status: &str, extra_headers: &[(&str, String)
     let _ = stream.flush();
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+fn handle_connection(mut stream: TcpStream, deadline: Instant, shared: &Shared) {
     let started = Instant::now();
-    let Some(request) = read_request(&mut stream) else {
-        shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-        respond(&mut stream, "400 Bad Request", &[], "malformed request\n");
-        close_unread(stream, Duration::from_secs(1));
-        return;
+    let request = match read_request(&stream, deadline) {
+        Ok(request) => request,
+        Err(BadRequest::Malformed) => {
+            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+            respond(&mut stream, "400 Bad Request", &[], "malformed request\n");
+            close_unread(stream, Duration::from_secs(1));
+            return;
+        }
+        Err(BadRequest::Timeout) => {
+            shared.metrics.head_timeouts.fetch_add(1, Ordering::Relaxed);
+            respond(
+                &mut stream,
+                "408 Request Timeout",
+                &[],
+                "request too slow\n",
+            );
+            // Briefly: a slow client must not hold the handler again.
+            close_unread(stream, Duration::from_millis(100));
+            return;
+        }
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
@@ -547,7 +624,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 .metrics
                 .metrics_requests
                 .fetch_add(1, Ordering::Relaxed);
-            let text = shared.metrics.render(&shared.store);
+            let text = shared.metrics.render(&shared.store, &shared.settings);
             respond(&mut stream, "200 OK", &[], &text);
             shared
                 .metrics

@@ -3,8 +3,9 @@
 //! in-flight cells to one compute, turn away overload deterministically
 //! with a retry hint, keep its metrics consistent with the requests it
 //! served, hold resident warm state under the configured byte cap,
-//! survive panicking cells and hostile request heads, and answer a warm
-//! query without waiting on a timer.
+//! survive panicking cells and hostile request heads, bound how long a
+//! client may take to send its request, and answer a warm query without
+//! waiting on a timer.
 
 use microlib::{ArtifactStore, Cell, SimOptions};
 use microlib_mech::MechanismKind;
@@ -436,6 +437,105 @@ fn send_get(mut stream: TcpStream, path: &str) -> String {
 /// `GET path` on a fresh connection to `server`, raw response text.
 fn raw_get(server: &Server, path: &str) -> String {
     send_get(TcpStream::connect(server.addr()).expect("connect"), path)
+}
+
+/// How long a request head and body may take, from accept (the server's
+/// `REQUEST_DEADLINE`), and the slack a test allows past it.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+const DEADLINE_SLACK: Duration = Duration::from_secs(2);
+
+/// Opens a connection that starts a valid request and then never
+/// finishes its header line.
+fn trickler(server: &Server) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nX-Slow: ")
+        .expect("request start");
+    stream
+}
+
+/// Sends one more byte of the endless header and collects whatever
+/// response has arrived (the server may already have closed: a failed
+/// write is not an error here).
+fn trickle(stream: &mut TcpStream, response: &mut Vec<u8>) {
+    let _ = stream.write_all(b"a");
+    let mut buf = [0u8; 512];
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        response.extend_from_slice(&buf[..n]);
+    }
+}
+
+/// A client trickling its head one byte at a time cannot extend the
+/// request deadline: it is answered 408 once the deadline passes.
+#[test]
+fn trickling_client_is_answered_408_at_the_deadline() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let started = Instant::now();
+    let mut stream = trickler(&server);
+    let mut response = Vec::new();
+    while response.is_empty() && started.elapsed() < REQUEST_DEADLINE + DEADLINE_SLACK {
+        trickle(&mut stream, &mut response);
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    let response = String::from_utf8_lossy(&response);
+    assert!(
+        response.starts_with("HTTP/1.1 408 "),
+        "no 408 within {:?}: {response:?}",
+        started.elapsed()
+    );
+    let metrics = client.metrics().expect("metrics scrape");
+    assert_eq!(metric_value(&metrics, "serve_head_timeouts_total"), Some(1));
+    assert_eq!(metric_value(&metrics, "serve_bad_requests_total"), Some(0));
+    shutdown_within(server, Duration::from_secs(30));
+}
+
+/// `HANDLERS + BACKLOG` trickling clients fill every handler and the
+/// backlog, so `/healthz` is turned away with 503; once their deadline
+/// passes they are all answered 408 and `/healthz` is served again.
+#[test]
+fn trickling_clients_release_the_pool_at_the_deadline() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let started = Instant::now();
+    let mut tricklers: Vec<TcpStream> =
+        (0..HANDLERS + BACKLOG).map(|_| trickler(&server)).collect();
+    let first = raw_get(&server, "/healthz");
+    assert!(first.starts_with("HTTP/1.1 503 "), "{first}");
+    let mut ignored = Vec::new();
+    loop {
+        for stream in &mut tricklers {
+            trickle(stream, &mut ignored);
+        }
+        let response = raw_get(&server, "/healthz");
+        if response.starts_with("HTTP/1.1 200 ") {
+            break;
+        }
+        assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+        assert!(
+            started.elapsed() < REQUEST_DEADLINE + DEADLINE_SLACK,
+            "/healthz still refused after {:?}",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    assert!(
+        started.elapsed() < REQUEST_DEADLINE + DEADLINE_SLACK,
+        "/healthz answered only after {:?}",
+        started.elapsed()
+    );
+    let metrics = client.metrics().expect("metrics scrape");
+    let timeouts = metric_value(&metrics, "serve_head_timeouts_total").expect("counter");
+    assert!(timeouts >= HANDLERS as u64, "{timeouts} head timeouts");
+    drop(tricklers);
+    shutdown_within(server, Duration::from_secs(30));
 }
 
 /// Draining a daemon bound to the wildcard address returns: the wake-up
