@@ -5,15 +5,16 @@
 //!
 //! Row families (the table in [`benches`] is the only list):
 //!
-//! - `simulator/swim_{Base,GHB}_5k_insts`: end-to-end detailed
-//!   simulation; the Base row is the headline the gate tracks tightest.
+//! - `simulator/swim_{Base,GHB}_5k_insts`, `simulator/mcf_Base_5k_insts`:
+//!   end-to-end detailed simulation of a high-IPC and a memory-bound
+//!   cell; the swim Base row is the headline the gate tracks tightest.
 //! - `cache_array/*`, `mshr_insert_complete_x8`, `sdram/row_hit_stream_32`:
 //!   the memory-side substrate the hot loop is built from.
 //! - `warmup/warm_inst_10k`: the functional warm loop every cell pays.
 //! - `workload/<benchmark>_{gen,replay}_10k`: trace generation and replay.
-//! - `mechanism_on_access/<mechanism>`, `mechanism_on_refill/<mechanism>`:
-//!   the per-event hook cost a MicroLib user pays for plugging a mechanism
-//!   into their own simulator.
+//! - `mechanism_on_access/<mechanism>`, `mechanism_on_refill/<mechanism>`,
+//!   `mechanism_on_evict/FVC`: the per-event hook cost a MicroLib user
+//!   pays for plugging a mechanism into their own simulator.
 //! - `serve/cell_query_warm`: one memo-hit query through the daemon.
 //!
 //! Usage:
@@ -40,8 +41,8 @@ use microlib::{run_one, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_mem::{CacheArray, MemToken, MemorySystem, MshrFile, MshrTarget, Sdram};
 use microlib_model::{
-    AccessEvent, AccessKind, AccessOutcome, Addr, CacheConfig, Cycle, LineData, PrefetchQueue,
-    RefillCause, RefillEvent, SdramConfig, SystemConfig,
+    AccessEvent, AccessKind, AccessOutcome, Addr, CacheConfig, Cycle, EvictEvent, LineData,
+    PrefetchQueue, RefillCause, RefillEvent, SdramConfig, SystemConfig,
 };
 use microlib_serve::{CampaignOutcome, Client, Server, ServerConfig};
 use microlib_trace::{benchmarks, TraceBuffer, TraceWindow, Workload};
@@ -133,11 +134,16 @@ fn benches() -> Vec<Bench> {
         Bench {
             floor: FLOOR,
             ..bench("simulator/swim_Base_5k_insts", INSTS, || {
-                simulate(MechanismKind::Base)
+                simulate("swim", MechanismKind::Base)
             })
         },
         bench("simulator/swim_GHB_5k_insts", INSTS, || {
-            simulate(MechanismKind::Ghb)
+            simulate("swim", MechanismKind::Ghb)
+        }),
+        // The memory-bound counterpart of the swim headline: most of
+        // mcf's cycles wait on DRAM with nothing to issue.
+        bench("simulator/mcf_Base_5k_insts", INSTS, || {
+            simulate("mcf", MechanismKind::Base)
         }),
         // Resident-line lookups over the flat L1D columns (the per-access
         // inner loop of every simulated load).
@@ -265,19 +271,20 @@ fn benches() -> Vec<Bench> {
             move || on_refill(kind),
         ));
     }
+    rows.push(bench("mechanism_on_evict/FVC", 1_000, fvc_on_evict));
     rows.push(bench("serve/cell_query_warm", 1, serve_query));
     rows
 }
 
-/// One swim cell of `INSTS` detailed instructions.
-fn simulate(kind: MechanismKind) -> f64 {
+/// One `benchmark` cell of `INSTS` detailed instructions.
+fn simulate(benchmark: &'static str, kind: MechanismKind) -> f64 {
     let cfg = SystemConfig::baseline();
     let opts = SimOptions {
         window: TraceWindow::new(2_000, INSTS),
         ..SimOptions::default()
     };
     best_of(3, || {
-        black_box(run_one(&cfg, kind, "swim", &opts).unwrap());
+        black_box(run_one(&cfg, kind, benchmark, &opts).unwrap());
     })
 }
 
@@ -325,6 +332,31 @@ fn on_refill(kind: MechanismKind) -> f64 {
             queue.clear();
         }
         black_box(mech.stats());
+    })
+}
+
+/// 1000 compressible victims captured by the frequent value cache's
+/// 1024-line store, which stays full, so every capture evicts its LRU
+/// line; each capture is followed by the L1 miss probe for a line
+/// captured 512 victims earlier.
+fn fvc_on_evict() -> f64 {
+    let mut mech = MechanismKind::Fvc.build();
+    let mut next = 0u64;
+    best_of(3, || {
+        for _ in 0..1_000 {
+            next += 1;
+            let ev = EvictEvent {
+                now: Cycle::new(next),
+                line: Addr::new(0x10_0000 + (next % 4_096) * 32),
+                dirty: next.is_multiple_of(2),
+                data: LineData::zeroed(4),
+                untouched_prefetch: false,
+            };
+            black_box(mech.on_evict(&ev));
+            let probed = 0x10_0000 + (next.wrapping_sub(512) % 4_096) * 32;
+            black_box(mech.probe(Addr::new(probed), ev.now));
+        }
+        black_box(mech.drain_spills());
     })
 }
 
@@ -598,9 +630,9 @@ mod tests {
     fn every_row_name_is_unique() {
         let benches = benches();
         let mut names: Vec<&str> = benches.iter().map(|b| b.name.as_str()).collect();
-        assert_eq!(names.len(), 30);
+        assert_eq!(names.len(), 32);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 30);
+        assert_eq!(names.len(), 32);
     }
 }

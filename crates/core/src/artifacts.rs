@@ -397,7 +397,7 @@ impl ArtifactStore {
         self.counts.trace_misses.fetch_add(1, Ordering::Relaxed);
         let workload = match state.take() {
             Some((workload, _short)) => workload,
-            None => Arc::new(Workload::new(profile, seed)),
+            None => Workload::shared(profile, seed),
         };
         let buffer = Arc::new(TraceBuffer::capture(&workload, min_len));
         *state = Some((Arc::clone(&workload), Arc::clone(&buffer)));

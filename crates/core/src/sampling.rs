@@ -132,7 +132,7 @@ pub(crate) fn run_sampled(
         None => {
             let profile = benchmarks::by_name(benchmark)
                 .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-            let workload = Workload::new(profile, opts.seed);
+            let workload = Workload::shared(profile, opts.seed);
             Arc::new(SamplingPlan::profile(
                 workload.stream(),
                 opts.window,

@@ -6,12 +6,12 @@ use crate::cell::Cell;
 use crate::sampling::SamplingMode;
 use microlib_cpu::{CoreStats, OoOCore};
 use microlib_mech::MechanismKind;
-use microlib_mem::{IntegrityError, MemorySystem};
+use microlib_mem::{Completion, IntegrityError, MemorySystem};
 use microlib_model::{
-    CacheStats, ConfigError, HardwareBudget, MechanismStats, MemoryStats, PerfSummary,
+    CacheStats, ConfigError, Cycle, HardwareBudget, MechanismStats, MemoryStats, PerfSummary,
     PrefetchQueueStats, SamplingEstimate, SystemConfig,
 };
-use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceWindow, Workload};
+use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceInst, TraceWindow, Workload};
 use std::fmt;
 use std::ops::Sub;
 use std::sync::Arc;
@@ -162,7 +162,7 @@ impl RunResult {
 
 /// Every monotone counter bundle `simulate` reports, captured mid-run at
 /// measurement boundaries and differenced.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct StatsSnapshot {
     core: CoreStats,
     l1d: CacheStats,
@@ -177,9 +177,13 @@ struct StatsSnapshot {
 
 impl StatsSnapshot {
     fn capture(core: &OoOCore, mem: &MemorySystem) -> Self {
+        Self::of(core.stats(), mem)
+    }
+
+    fn of(core: CoreStats, mem: &MemorySystem) -> Self {
         let (queue_l1, queue_l2) = mem.prefetch_queue_stats();
         StatsSnapshot {
-            core: core.stats(),
+            core,
             l1d: mem.l1d_stats(),
             l1i: mem.l1i_stats(),
             l2: mem.l2_stats(),
@@ -609,7 +613,12 @@ pub(crate) fn simulate(
             if now.raw() >= budget {
                 return Err(timeout(budget));
             }
-            now += 1;
+            now = if core.idle() && SKIP_IDLE.get() {
+                let (core, budget) = (Some(&mut core), Cycle::new(budget));
+                skip_idle(now, budget, core, &mut trace, &mut mem, &mut completions)
+            } else {
+                now + 1
+            };
         }
         // A mark still open at drain closes at whatever committed: the
         // whole-stretch measurement always ends here, and a truncated
@@ -626,7 +635,12 @@ pub(crate) fn simulate(
             // (and its completion token could collide with the next
             // stretch's fresh core).
             while !mem.quiescent() {
-                now += 1;
+                now = if SKIP_IDLE.get() {
+                    let (no_core, budget) = (&mut std::iter::empty(), Cycle::new(budget));
+                    skip_idle(now, budget, None, no_core, &mut mem, &mut completions)
+                } else {
+                    now + 1
+                };
                 mem.begin_cycle_into(now, &mut completions);
                 if now.raw() >= budget {
                     return Err(timeout(budget));
@@ -635,6 +649,71 @@ pub(crate) fn simulate(
         }
     }
     Ok(parts)
+}
+
+thread_local! {
+    /// Whether the detailed loop jumps over idle cycles (always, outside
+    /// tests) or simulates every one of them: the reference the skipping
+    /// path is tested against.
+    static SKIP_IDLE: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+}
+
+/// Moves on from cycle `now`, after which nothing can happen before the
+/// earliest of the core's wake-up (when a core is given, its last cycle
+/// was idle), the hierarchy's next event and `budget`; returns that
+/// cycle. The cycles in between repeat `now`'s per-cycle counting and
+/// nothing else, so release builds credit them in bulk. Debug builds
+/// simulate every one instead and assert the prediction: each cycle was
+/// idle, and at the span's end the counters equal the bulk credit and
+/// every queue holds what it held.
+fn skip_idle(
+    now: Cycle,
+    budget: Cycle,
+    mut core: Option<&mut OoOCore>,
+    trace: &mut dyn Iterator<Item = TraceInst>,
+    mem: &mut MemorySystem,
+    completions: &mut Vec<Completion>,
+) -> Cycle {
+    let core_wake = core.as_ref().map_or(Cycle::NEVER, |c| c.next_wake(now));
+    let wake = core_wake.min(mem.next_event(now)).min(budget).max(now + 1);
+    let skipped = wake - now - 1;
+    if skipped == 0 {
+        return wake;
+    }
+    if !cfg!(debug_assertions) {
+        if let Some(core) = core {
+            core.skip_idle(skipped);
+        }
+        mem.skip_idle(skipped);
+        return wake;
+    }
+    let core_stats = |core: &Option<&mut OoOCore>| core.as_ref().map(|c| c.stats());
+    let mut predicted = StatsSnapshot::of(core_stats(&core).unwrap_or_default(), mem);
+    if let Some(core) = &core {
+        predicted.core = predicted.core + core.idle_credit(skipped);
+    }
+    predicted.memory = predicted.memory + mem.idle_credit(skipped);
+    let depths = mem.queue_depths();
+    for t in now.raw() + 1..wake.raw() {
+        let t = Cycle::new(t);
+        mem.begin_cycle_into(t, completions);
+        assert!(
+            completions.is_empty(),
+            "{t} predicted idle, but a request completed"
+        );
+        if let Some(core) = core.as_deref_mut() {
+            core.cycle(t, completions, mem, trace);
+            assert!(core.idle(), "{t} predicted idle, but the core acted");
+        }
+    }
+    let span = format!("cycles {}..{} predicted idle", now.raw() + 1, wake.raw());
+    let actual = StatsSnapshot::of(core_stats(&core).unwrap_or_default(), mem);
+    assert_eq!(
+        actual, predicted,
+        "{span}, but the counters miss the bulk credit"
+    );
+    assert_eq!(mem.queue_depths(), depths, "{span}, but a request moved");
+    wake
 }
 
 /// Shapes one measured counter bundle as a [`RunResult`].
@@ -877,5 +956,53 @@ mod tests {
         assert_eq!(back.core, result.core);
         assert_eq!(back.l2, result.l2);
         assert_eq!(back.queue_l2, result.queue_l2);
+    }
+
+    /// Jumping over idle cycles is invisible in the results: every study
+    /// mechanism on a memory-bound, two floating-point and an integer
+    /// benchmark, over three seeds, in full and in sampled mode (several
+    /// stretches with quiesced gaps between them), encodes the same
+    /// `RunResult` as simulating every cycle. Release builds jump; debug
+    /// builds step each predicted span and assert the prediction.
+    #[test]
+    fn skipping_idle_cycles_matches_stepping() {
+        let modes = [
+            (TraceWindow::new(1_000, 2_000), SamplingMode::Full),
+            (
+                TraceWindow::new(1_000, 6_000),
+                SamplingMode::SimPoints {
+                    interval: 1_000,
+                    max_clusters: 2,
+                    warmup: 0,
+                },
+            ),
+        ];
+        let config = SystemConfig::baseline();
+        for benchmark in ["mcf", "equake", "swim", "gzip"] {
+            for kind in MechanismKind::study_set() {
+                for seed in [1, 2, 0xC0FFEE] {
+                    for (window, sampling) in modes {
+                        let opts = SimOptions {
+                            seed,
+                            window,
+                            sampling,
+                            ..SimOptions::default()
+                        };
+                        let encoded = |skip: bool| {
+                            SKIP_IDLE.set(skip);
+                            let r = run_one(&config, kind, benchmark, &opts);
+                            SKIP_IDLE.set(true);
+                            let mut e = microlib_model::Encoder::new();
+                            r.expect("run succeeds").encode(&mut e);
+                            e.into_bytes()
+                        };
+                        assert!(
+                            encoded(true) == encoded(false),
+                            "{benchmark} {kind:?} seed {seed} {sampling:?}: skipping changed the result"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

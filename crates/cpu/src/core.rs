@@ -299,6 +299,12 @@ pub struct OoOCore {
 
     fus: FuPool,
     stats: CoreStats,
+    /// `stats` as the current cycle began: the difference is what the
+    /// cycle added.
+    cycle_start: CoreStats,
+    /// Whether the current cycle changed any state beyond its per-cycle
+    /// stall counters (see [`OoOCore::idle`]).
+    active: bool,
     trace_done: bool,
 }
 
@@ -347,6 +353,8 @@ impl OoOCore {
             batch_reqs: Vec::new(),
             batch_results: Vec::new(),
             stats: CoreStats::default(),
+            cycle_start: CoreStats::default(),
+            active: false,
             trace_done: false,
         }
     }
@@ -354,6 +362,47 @@ impl OoOCore {
     /// Counters accumulated so far.
     pub fn stats(&self) -> CoreStats {
         self.stats
+    }
+
+    /// Whether the last cycle was a no-op: it applied no memory
+    /// completion, woke, issued, dispatched, fetched or committed nothing
+    /// and had no request refused, so it only counted stall cycles. Until
+    /// [`OoOCore::next_wake`] or a memory completion, every later cycle
+    /// repeats it exactly — which is what lets the detailed loop skip
+    /// them with [`OoOCore::skip_idle`].
+    pub fn idle(&self) -> bool {
+        !self.active
+    }
+
+    /// The earliest cycle after `now` at which the core's own timers can
+    /// end an idle stretch: an executing op completes, fetch unblocks
+    /// after a mispredict, or a busy functional unit frees up.
+    pub fn next_wake(&self, now: Cycle) -> Cycle {
+        let mut wake = self.fus.next_free(now);
+        if self.fetch_blocked_until > now {
+            wake = wake.min(self.fetch_blocked_until);
+        }
+        for (w, &word) in self.executing_bits.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                wake = wake.min(self.done_at[(w << 6) | bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        wake
+    }
+
+    /// The counters `cycles` more repeats of the last (idle) cycle add.
+    pub fn idle_credit(&self, cycles: u64) -> CoreStats {
+        let per_cycle = self.stats - self.cycle_start;
+        CoreStats::from_fn(|get| get(&per_cycle) * cycles)
+    }
+
+    /// Credits `cycles` skipped repeats of the last cycle, which must have
+    /// been idle, in one step.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        debug_assert!(self.idle(), "only an idle cycle repeats");
+        self.stats = self.stats + self.idle_credit(cycles);
     }
 
     /// Whether every fetched instruction has committed and the trace is
@@ -458,6 +507,8 @@ impl OoOCore {
         mem: &mut MemorySystem,
         trace: &mut dyn Iterator<Item = TraceInst>,
     ) -> u64 {
+        self.cycle_start = self.stats;
+        self.active = false;
         self.stats.cycles += 1;
         self.fus.begin_cycle();
 
@@ -476,6 +527,7 @@ impl OoOCore {
                 continue; // retired store's write, or i-fetch handled below
             };
             let (_, seq) = self.mem_requests.swap_remove(i);
+            self.active = true;
             if seq < self.base {
                 continue;
             }
@@ -489,6 +541,7 @@ impl OoOCore {
         if let Some(pending) = self.ifetch_pending {
             if completions.iter().any(|c| c.req == pending) {
                 self.ifetch_pending = None;
+                self.active = true;
             }
         }
     }
@@ -504,6 +557,7 @@ impl OoOCore {
                 bits &= bits - 1;
                 let pos = (w << 6) | b as usize;
                 if self.done_at[pos] <= now {
+                    self.active = true;
                     self.executing_bits[w] &= !(1u64 << b);
                     self.executing -= 1;
                     self.state[pos] = SlotState::Completed;
@@ -535,6 +589,7 @@ impl OoOCore {
                     Ok(_) => {}
                     Err(_) => {
                         self.stats.store_commit_stalls += 1;
+                        self.active = true;
                         break;
                     }
                 }
@@ -550,6 +605,7 @@ impl OoOCore {
             self.stats.committed += 1;
             committed += 1;
             self.base += 1;
+            self.active = true;
         }
         committed
     }
@@ -613,6 +669,7 @@ impl OoOCore {
         if attempt == 0 {
             return; // no unit would accept: every load stays ready
         }
+        self.active = true;
         reqs.clear();
         for &p in &batch[..attempt] {
             reqs.push((self.pc[p as usize], self.mem_addr[p as usize]));
@@ -720,6 +777,7 @@ impl OoOCore {
                         self.set_executing(pos);
                         self.clear_ready(pos);
                         self.stats.loads_forwarded += 1;
+                        self.active = true;
                         issued += 1;
                     }
                     // Store not executed yet: wait.
@@ -732,6 +790,7 @@ impl OoOCore {
                         self.done_at[pos] = now + latency(op);
                         self.set_executing(pos);
                         self.clear_ready(pos);
+                        self.active = true;
                         issued += 1;
                     }
                 }
@@ -773,6 +832,7 @@ impl OoOCore {
                 self.lsq_used += 1;
             }
             let inst = self.fetch_buffer.pop_front().expect("peeked");
+            self.active = true;
             let seq = self.next_seq;
             let pos = self.pos_of(seq);
             self.op[pos] = inst.op;
@@ -844,6 +904,7 @@ impl OoOCore {
         if self.fetch_buffer.len() >= self.config.fetch_width as usize {
             return;
         }
+        self.active = true;
         for _ in 0..self.config.fetch_width {
             let Some(inst) = trace.next() else {
                 self.trace_done = true;

@@ -114,6 +114,24 @@ impl FuPool {
         class.try_issue(now, hold)
     }
 
+    /// The earliest cycle after `now` at which a busy unit frees up
+    /// ([`Cycle::NEVER`] if none is busy).
+    pub(crate) fn next_free(&self, now: Cycle) -> Cycle {
+        [
+            &self.int_alu,
+            &self.int_mult,
+            &self.fp_alu,
+            &self.fp_mult,
+            &self.mem,
+        ]
+        .iter()
+        .flat_map(|class| &class.busy_until)
+        .filter(|b| **b > now)
+        .min()
+        .copied()
+        .unwrap_or(Cycle::NEVER)
+    }
+
     /// How many consecutive [`FuPool::try_issue`] calls for `op` would
     /// succeed right now. Pure — lets a caller size a batch without making
     /// (and counting the side effects of) doomed issue attempts.

@@ -8,7 +8,8 @@
 use crate::cdp::ContentDirectedPrefetcher;
 use crate::sp::StridePrefetcher;
 use microlib_model::{
-    AccessEvent, AttachPoint, HardwareBudget, Mechanism, MechanismStats, PrefetchQueue, RefillEvent,
+    AccessEvent, AttachPoint, Cycle, HardwareBudget, Mechanism, MechanismStats, PrefetchQueue,
+    RefillEvent,
 };
 
 /// The combined stride + content-directed prefetcher.
@@ -92,6 +93,10 @@ impl Mechanism for CdpSp {
         self.cdp.on_refill(event, &mut cdpq);
         self.cdp_queue = Some(cdpq);
         self.forward(prefetch);
+    }
+
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
     }
 
     fn hardware(&self) -> HardwareBudget {

@@ -26,7 +26,7 @@
 
 use crate::table::AssocTable;
 use microlib_model::{
-    AccessEvent, AccessOutcome, Addr, AttachPoint, EvictEvent, HardwareBudget, Mechanism,
+    AccessEvent, AccessOutcome, Addr, AttachPoint, Cycle, EvictEvent, HardwareBudget, Mechanism,
     MechanismStats, PrefetchDestination, PrefetchQueue, PrefetchRequest, RefillEvent, SramTable,
     VictimAction,
 };
@@ -219,6 +219,10 @@ impl Mechanism for DeadBlockPrefetcher {
                 );
             }
         }
+    }
+
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
     }
 
     fn hardware(&self) -> HardwareBudget {

@@ -8,7 +8,7 @@
 
 use crate::table::AssocTable;
 use microlib_model::{
-    AccessEvent, AccessOutcome, AttachPoint, HardwareBudget, Mechanism, MechanismStats,
+    AccessEvent, AccessOutcome, AttachPoint, Cycle, HardwareBudget, Mechanism, MechanismStats,
     PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable,
 };
 
@@ -163,6 +163,10 @@ impl Mechanism for StridePrefetcher {
                 });
             }
         }
+    }
+
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
     }
 
     fn hardware(&self) -> HardwareBudget {

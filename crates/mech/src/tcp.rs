@@ -13,8 +13,8 @@
 
 use crate::table::AssocTable;
 use microlib_model::{
-    AccessEvent, AccessOutcome, Addr, AttachPoint, HardwareBudget, Mechanism, MechanismStats,
-    PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable,
+    AccessEvent, AccessOutcome, Addr, AttachPoint, Cycle, HardwareBudget, Mechanism,
+    MechanismStats, PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable,
 };
 
 /// The tag-correlating prefetcher.
@@ -131,6 +131,10 @@ impl Mechanism for TagCorrelatingPrefetcher {
             }
         }
         self.tht[tht_idx] = [tag, t1];
+    }
+
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
     }
 
     fn hardware(&self) -> HardwareBudget {

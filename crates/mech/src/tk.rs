@@ -174,6 +174,11 @@ impl Mechanism for TimekeepingPrefetcher {
         }
     }
 
+    fn next_tick_event(&self, now: Cycle) -> Cycle {
+        // The refresh scan runs on multiples of the interval only.
+        Cycle::new((now.raw() / REFRESH_INTERVAL + 1) * REFRESH_INTERVAL)
+    }
+
     fn tick(&mut self, now: Cycle) {
         // Refresh scan: every REFRESH_INTERVAL cycles, look for lines whose
         // idle time crossed the death threshold and schedule the prefetch

@@ -153,6 +153,10 @@ impl Mechanism for TimekeepingVictimCache {
         std::mem::take(&mut self.spills)
     }
 
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
+    }
+
     fn hardware(&self) -> HardwareBudget {
         HardwareBudget::with_tables(
             "TKVC",

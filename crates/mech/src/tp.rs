@@ -7,7 +7,7 @@
 //! "incur[s] almost no additional cost".
 
 use microlib_model::{
-    AccessEvent, AccessOutcome, AttachPoint, HardwareBudget, Mechanism, MechanismStats,
+    AccessEvent, AccessOutcome, AttachPoint, Cycle, HardwareBudget, Mechanism, MechanismStats,
     PrefetchDestination, PrefetchQueue, PrefetchRequest,
 };
 
@@ -69,6 +69,10 @@ impl Mechanism for TaggedPrefetcher {
                 destination: PrefetchDestination::Cache,
             });
         }
+    }
+
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
     }
 
     fn hardware(&self) -> HardwareBudget {

@@ -131,6 +131,10 @@ impl Mechanism for VictimCache {
         std::mem::take(&mut self.spills)
     }
 
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // `tick` is a no-op
+    }
+
     fn hardware(&self) -> HardwareBudget {
         let data_bits = self.line_bytes * 8;
         let tag_state_bits = 64 - self.line_bytes.trailing_zeros() as u64 + 2;

@@ -18,7 +18,7 @@
 
 use microlib_model::{Addr, BinCodec, CodecError, Decoder, Encoder, LineData};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const PAGE_WORDS: usize = 512; // 4 KB pages
 const PAGE_SHIFT: u64 = 12;
@@ -75,14 +75,17 @@ type PageMap = HashMap<u64, Arc<[u64; PAGE_WORDS]>, std::hash::BuildHasherDefaul
 #[derive(Clone, Debug, Default)]
 pub struct SparseMemory {
     pages: PageMap,
+    /// [`content_digest`](Self::content_digest), memoized for an image
+    /// that serves as a delta base again and again (a workload's initial
+    /// image, see [`SparseMemory::memoize_digest`]). Clones share the
+    /// memo; a write drops it, so a mutated copy digests afresh.
+    digest: Option<Arc<OnceLock<u64>>>,
 }
 
 impl SparseMemory {
     /// Creates an empty (all-zero) memory.
     pub fn new() -> Self {
-        SparseMemory {
-            pages: PageMap::default(),
-        }
+        SparseMemory::default()
     }
 
     #[inline]
@@ -104,6 +107,7 @@ impl SparseMemory {
         if value == 0 && !self.pages.contains_key(&page) {
             return; // writing zero to an untouched page is a no-op
         }
+        self.digest = None;
         let page = self
             .pages
             .entry(page)
@@ -161,6 +165,7 @@ impl SparseMemory {
             if !self.pages.contains_key(&page) && words.iter().all(|&w| w == 0) {
                 return;
             }
+            self.digest = None;
             let p = self
                 .pages
                 .entry(page)
@@ -231,6 +236,7 @@ impl SparseMemory {
         let total = d.take_usize()?;
         let changed = d.take_usize()?;
         let mut mem = base.clone();
+        mem.digest = None;
         for _ in 0..changed {
             let idx = d.take_u64()?;
             let mut page = [0u64; PAGE_WORDS];
@@ -252,6 +258,22 @@ impl SparseMemory {
     /// order). Pins a delta to the *exact* base it was encoded against:
     /// equal page counts with different words must not decode.
     fn content_digest(&self) -> u64 {
+        match &self.digest {
+            Some(memo) => *memo.get_or_init(|| self.digest_pages()),
+            None => self.digest_pages(),
+        }
+    }
+
+    /// Memoizes [`content_digest`](Self::content_digest) from here on:
+    /// this memory and every clone taken before either side writes share
+    /// one computation. Digesting a multi-megabyte image byte by byte
+    /// costs tens of milliseconds, and every warm-state encode and decode
+    /// digests its base.
+    pub(crate) fn memoize_digest(&mut self) {
+        self.digest = Some(Arc::default());
+    }
+
+    fn digest_pages(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         fn mix(mut h: u64, v: u64) -> u64 {
@@ -309,6 +331,27 @@ impl FunctionalMemory {
     /// Creates an empty functional memory.
     pub fn new() -> Self {
         FunctionalMemory::default()
+    }
+
+    /// A memory whose architectural and DRAM images both start as
+    /// `image`, sharing its pages copy-on-write: the same contents as
+    /// writing each of its words with
+    /// [`initialize_word`](Self::initialize_word), at half the cost.
+    pub fn from_image(image: SparseMemory) -> Self {
+        FunctionalMemory {
+            arch: image.clone(),
+            dram: image,
+        }
+    }
+
+    /// Memoizes both images' content digests, which every warm-state
+    /// encode and decode against this image computes: this memory and its
+    /// clones then digest each image once, until a write drops the memo
+    /// of the copy written to. Call on an image that will be the base of
+    /// many warm-state encodings, such as a workload's initial image.
+    pub fn memoize_digests(&mut self) {
+        self.arch.memoize_digest();
+        self.dram.memoize_digest();
     }
 
     /// Records a store's architectural effect (ground truth).
@@ -512,6 +555,48 @@ mod tests {
         assert_eq!(same_shape.resident_pages(), base.resident_pages());
         let mut d = Decoder::new(&bytes);
         assert!(SparseMemory::decode_delta(&same_shape, &mut d).is_err());
+    }
+
+    /// A memoized base digests like an unmemoized one, so encodings stay
+    /// byte-identical; its clones share the memo, and a clone that
+    /// diverges afterwards is still rejected.
+    #[test]
+    fn memoized_digest_still_rejects_a_diverged_base() {
+        let mut plain = SparseMemory::new();
+        for i in 0..8u64 {
+            plain.write_word(Addr::new(i * 0x1000), i + 1);
+        }
+        let mut base = plain.clone();
+        base.memoize_digest();
+        let mut warmed = base.clone();
+        warmed.write_word(Addr::new(0x2008), 99);
+        let (mut e, mut e_plain) = (Encoder::new(), Encoder::new());
+        warmed.encode_delta(&base, &mut e);
+        warmed.encode_delta(&plain, &mut e_plain);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes, e_plain.into_bytes(), "memo changed the encoding");
+
+        let fresh = base.clone();
+        let back = SparseMemory::decode_delta(&fresh, &mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(back.read_word(Addr::new(0x2008)), 99);
+
+        let reject = |candidate: &SparseMemory| {
+            let err = SparseMemory::decode_delta(candidate, &mut Decoder::new(&bytes)).unwrap_err();
+            assert!(err.to_string().contains("base image diverged"), "{err}");
+        };
+        // Same page set, one word changed after the memo was filled.
+        let mut mutated = base.clone();
+        mutated.write_word(Addr::new(0x3000), 42);
+        reject(&mutated);
+        mutated.write_line(Addr::new(0x3000), &LineData::from_words(&[5, 0, 0, 0]));
+        reject(&mutated);
+        // A different image with its own memo.
+        let mut other = SparseMemory::new();
+        other.write_word(Addr::new(0x5000), 1);
+        other.memoize_digest();
+        reject(&other);
+        // The memoized base itself is untouched by its clones' writes.
+        assert!(SparseMemory::decode_delta(&base, &mut Decoder::new(&bytes)).is_ok());
     }
 
     #[test]

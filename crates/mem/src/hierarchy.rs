@@ -1927,6 +1927,74 @@ impl MemorySystem {
         )
     }
 
+    /// The earliest cycle after `now` at which [`begin_cycle_into`]
+    /// can find work due, if nothing is issued to the hierarchy in
+    /// between ([`Cycle::NEVER`] if nothing is pending at all). Every
+    /// cycle before it only repeats the per-cycle counting
+    /// [`MemorySystem::skip_idle`] credits.
+    ///
+    /// [`begin_cycle_into`]: MemorySystem::begin_cycle_into
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        let soon = now + 1;
+        let queued = |slot: &Option<MechSlot>| slot.as_ref().is_some_and(|s| !s.queue.is_empty());
+        if queued(&self.l1_mech) || queued(&self.l2_mech) {
+            return soon; // the drain's conditions move with the clock
+        }
+        let mut next = self.memory.next_event();
+        if let Some(head) = self.mem_pending.front() {
+            // A due head waits on a full controller queue, which only a
+            // command start (an event of the controller's own) drains.
+            next = next.min(if head.ready_at > now || self.memory.can_accept() {
+                head.ready_at
+            } else {
+                Cycle::NEVER
+            });
+        }
+        let arrivals = self.l2_refills.iter().map(|r| r.arrive);
+        next = arrivals
+            .chain(self.l1_fills.iter().map(|f| f.arrive))
+            .fold(next, Cycle::min);
+        if let Some(L2Req::Demand { arrival, .. } | L2Req::Writeback { arrival }) =
+            self.l2_queue.front()
+        {
+            next = next.min(*arrival);
+        }
+        for slot in self.l1_mech.iter().chain(&self.l2_mech) {
+            next = next.min(slot.mech.next_tick_event(now));
+        }
+        next.max(soon)
+    }
+
+    /// The counters `cycles` cycles add while no work is due: only the
+    /// SDRAM queue-wait counter runs, while requests are queued.
+    pub fn idle_credit(&self, cycles: u64) -> MemoryStats {
+        self.memory.idle_credit(cycles)
+    }
+
+    /// Credits `cycles` cycles in which no work is due (see
+    /// [`MemorySystem::next_event`]) without simulating them.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        self.memory.skip_idle(cycles);
+    }
+
+    /// The depth of every internal queue — L2 requests, L1 fills, L2
+    /// refills, memory-bound requests, the controller's queue and its
+    /// in-service set — and both prefetch queues. Two equal readings
+    /// around a cycle with equal counters mean it moved no request.
+    pub fn queue_depths(&self) -> [usize; 7] {
+        let prefetches = |slot: &Option<MechSlot>| slot.as_ref().map_or(0, |s| s.queue.len());
+        let (queued, in_service) = self.memory.depths();
+        [
+            self.l2_queue.len(),
+            self.l1_fills.len(),
+            self.l2_refills.len(),
+            self.mem_pending.len(),
+            queued,
+            in_service,
+            prefetches(&self.l1_mech) + prefetches(&self.l2_mech),
+        ]
+    }
+
     /// Whether any request (CPU-visible or internal) is still in flight.
     pub fn quiescent(&self) -> bool {
         self.l1d.mshr.is_empty()

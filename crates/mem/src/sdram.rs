@@ -310,23 +310,16 @@ impl Sdram {
         self.stats
     }
 
-    /// Clears queues, bank state and counters.
-    pub fn reset(&mut self) {
-        self.queue.clear();
-        self.in_service.clear();
-        for row in &mut self.bank_open_row {
-            *row = NO_ROW;
+    /// The earliest cycle at which a tick can do more than count queue
+    /// wait: a transaction completes, or (with requests queued) a
+    /// command may start. At or before the last tick it means "next
+    /// tick".
+    pub(crate) fn next_event(&self) -> Cycle {
+        if self.queue.is_empty() {
+            self.next_ready
+        } else {
+            self.next_ready.min(self.next_sched)
         }
-        for ready in &mut self.bank_ready {
-            *ready = Cycle::ZERO;
-        }
-        for active in &mut self.bank_active {
-            *active = Cycle::ZERO;
-        }
-        self.last_activate = Cycle::ZERO;
-        self.next_ready = Cycle::NEVER;
-        self.next_sched = Cycle::ZERO;
-        self.stats = MemoryStats::default();
     }
 }
 
@@ -351,11 +344,6 @@ impl ConstantMemory {
         }
     }
 
-    /// The flat latency in CPU cycles.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Submits a transaction (never refuses).
     pub fn push(&mut self, token: MemToken, is_write: bool, now: Cycle) {
         let data_ready = now + self.latency;
@@ -366,14 +354,6 @@ impl ConstantMemory {
             arrival: now,
             data_ready,
         });
-    }
-
-    /// Advances one cycle, returning finished transactions. Allocating
-    /// convenience wrapper around [`ConstantMemory::tick_into`].
-    pub fn tick(&mut self, now: Cycle) -> Vec<MemDone> {
-        let mut done = Vec::new();
-        self.tick_into(now, &mut done);
-        done
     }
 
     /// Advances one cycle, appending finished transactions onto `done`.
@@ -406,13 +386,6 @@ impl ConstantMemory {
     /// Accumulated statistics.
     pub fn stats(&self) -> MemoryStats {
         self.stats
-    }
-
-    /// Clears in-flight state and counters.
-    pub fn reset(&mut self) {
-        self.in_flight.clear();
-        self.next_ready = Cycle::NEVER;
-        self.stats = MemoryStats::default();
     }
 }
 
@@ -448,15 +421,6 @@ impl MainMemory {
         }
     }
 
-    /// Advances one cycle, returning finished transactions. Allocating
-    /// convenience wrapper around [`MainMemory::tick_into`].
-    pub fn tick(&mut self, now: Cycle) -> Vec<MemDone> {
-        match self {
-            MainMemory::Constant(m) => m.tick(now),
-            MainMemory::Sdram(m) => m.tick(now),
-        }
-    }
-
     /// Advances one cycle, appending finished transactions onto `done`.
     pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<MemDone>) {
         match self {
@@ -473,11 +437,48 @@ impl MainMemory {
         }
     }
 
-    /// Clears all state.
-    pub fn reset(&mut self) {
+    /// Whether a [`MainMemory::try_push`] would be accepted.
+    pub(crate) fn can_accept(&self) -> bool {
         match self {
-            MainMemory::Constant(m) => m.reset(),
-            MainMemory::Sdram(m) => m.reset(),
+            MainMemory::Constant(_) => true,
+            MainMemory::Sdram(m) => m.can_accept(),
+        }
+    }
+
+    /// The earliest cycle at which a tick can do more than count queue
+    /// wait (see [`Sdram::next_event`]).
+    pub(crate) fn next_event(&self) -> Cycle {
+        match self {
+            MainMemory::Constant(m) => m.next_ready,
+            MainMemory::Sdram(m) => m.next_event(),
+        }
+    }
+
+    /// Transactions waiting for a command, and in service.
+    pub(crate) fn depths(&self) -> (usize, usize) {
+        match self {
+            MainMemory::Constant(m) => (0, m.in_flight.len()),
+            MainMemory::Sdram(m) => (m.queue.len(), m.in_service.len()),
+        }
+    }
+
+    /// The counters `cycles` ticks add before [`MainMemory::next_event`]:
+    /// one queue-wait cycle per tick while requests are queued.
+    pub(crate) fn idle_credit(&self, cycles: u64) -> MemoryStats {
+        let queued = self.depths().0 > 0;
+        MemoryStats {
+            queue_wait_cycles: if queued { cycles } else { 0 },
+            ..MemoryStats::default()
+        }
+    }
+
+    /// Credits `cycles` ticks before [`MainMemory::next_event`] without
+    /// running them.
+    pub(crate) fn skip_idle(&mut self, cycles: u64) {
+        let extra = self.idle_credit(cycles);
+        match self {
+            MainMemory::Constant(m) => m.stats = m.stats + extra,
+            MainMemory::Sdram(m) => m.stats = m.stats + extra,
         }
     }
 }
@@ -633,7 +634,7 @@ mod tests {
         mem.push(MemToken(2), false, Cycle::new(5));
         let mut done = Vec::new();
         for c in 0..100 {
-            done.extend(mem.tick(Cycle::new(c)));
+            mem.tick_into(Cycle::new(c), &mut done);
         }
         assert_eq!(done.len(), 2, "unlimited bandwidth");
         assert!(done.iter().all(|d| d.finished_at.raw() == 75));
@@ -649,7 +650,7 @@ mod tests {
         for mem in [&mut c, &mut s] {
             let mut done = Vec::new();
             for cyc in 0..300 {
-                done.extend(mem.tick(Cycle::new(cyc)));
+                mem.tick_into(Cycle::new(cyc), &mut done);
             }
             assert_eq!(done.len(), 1);
         }
@@ -690,5 +691,35 @@ mod tests {
             "one wait cycle for the second request's submission cycle"
         );
         assert_eq!(mem.in_service_len(), 0);
+    }
+
+    /// `next_event` never reports a cycle later than the next tick that
+    /// does more than count queue wait: under a bursty random request
+    /// stream, every tick before the reported cycle completes nothing and
+    /// starts no command.
+    #[test]
+    fn next_event_bounds_every_busy_tick() {
+        let mut mem = Sdram::new(SdramConfig::baseline());
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut done = Vec::new();
+        let mut token = 0;
+        for c in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(8) && mem.can_accept() {
+                token += 1;
+                let line = Addr::new((x >> 16) % 4096 * 64);
+                mem.try_push(MemToken(token), line, x.is_multiple_of(3), Cycle::new(c));
+            }
+            let (event, queued) = (mem.next_event(), mem.queue.len());
+            done.clear();
+            mem.tick_into(Cycle::new(c), &mut done);
+            if event > Cycle::new(c) {
+                assert!(done.is_empty(), "cycle {c}: completion before {event}");
+                assert_eq!(mem.queue.len(), queued, "cycle {c}: command before {event}");
+            }
+        }
+        assert!(token > 1_000, "the stream kept the controller busy");
     }
 }

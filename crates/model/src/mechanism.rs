@@ -105,6 +105,18 @@ pub trait Mechanism {
         let _ = now;
     }
 
+    /// The earliest cycle after `now` at which [`tick`](Mechanism::tick)
+    /// can change anything, given no other hook is called meanwhile.
+    ///
+    /// The detailed loop jumps over cycles in which nothing happens; it
+    /// only jumps past a cycle this hook reports as tick-free. The
+    /// default, `now + 1`, keeps every cycle ticked. A mechanism whose
+    /// `tick` is a no-op returns [`Cycle::NEVER`]; one that acts on a
+    /// schedule returns its next scheduled cycle.
+    fn next_tick_event(&self, now: Cycle) -> Cycle {
+        now + 1
+    }
+
     /// Capacity of the prefetch request queue the cache controller creates
     /// for this mechanism (Table 3's "Request Queue Size").
     fn request_queue_capacity(&self) -> usize {
@@ -290,6 +302,10 @@ impl Mechanism for BaseMechanism {
     }
 
     fn on_access(&mut self, _event: &AccessEvent, _prefetch: &mut PrefetchQueue) {}
+
+    fn next_tick_event(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER
+    }
 
     fn warm_events_only(&self) -> bool {
         true // observes nothing, perturbs nothing

@@ -4,7 +4,7 @@
 
 use crate::inst::{BranchInfo, OpClass, TraceInst};
 use crate::profile::{BenchmarkProfile, PhaseProfile, StreamSpec, FREQUENT_VALUES};
-use microlib_mem::FunctionalMemory;
+use microlib_mem::{FunctionalMemory, SparseMemory};
 use microlib_model::Addr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -271,10 +271,14 @@ impl Workload {
             });
         }
 
-        let mut image = FunctionalMemory::new();
+        let mut words = SparseMemory::new();
         for (addr, value) in &init_words {
-            image.initialize_word(Addr::new(*addr), *value);
+            words.write_word(Addr::new(*addr), *value);
         }
+        let mut image = FunctionalMemory::from_image(words);
+        // Warm states persist as deltas against this image and digest it
+        // on every encode and decode.
+        image.memoize_digests();
         Workload {
             profile,
             seed,
