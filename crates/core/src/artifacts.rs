@@ -56,14 +56,16 @@ use crate::settings::Settings;
 use crate::shard::ShardSpec;
 use crate::simulator::{RunResult, SimError, SimOptions};
 use microlib_mech::MechanismKind;
-use microlib_mem::{capture_warm_state, WarmState};
-use microlib_model::codec::{BinCodec, Decoder, Encoder};
+use microlib_mem::{capture_warm_state, FunctionalMemory, WarmState};
+use microlib_model::codec::{BinCodec, Encoder};
 use microlib_model::SystemConfig;
 use microlib_trace::{benchmarks, SamplingPlan, TraceBuffer, TraceWindow, Workload};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// A stable identity string for a [`SystemConfig`]: every field, via the
@@ -74,9 +76,61 @@ pub fn config_key(config: &SystemConfig) -> String {
     format!("{config:?}")
 }
 
-#[derive(Default)]
-struct TraceSlot {
-    state: Mutex<Option<(Arc<Workload>, Arc<TraceBuffer>)>>,
+/// Locks `m`, recovering it if a panicking holder poisoned it. Every slot
+/// state is written only after its computation succeeds, so a panic
+/// mid-computation leaves the state as it found it and the next caller
+/// simply computes.
+fn lock<S>(m: &Mutex<S>) -> MutexGuard<'_, S> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] without waiting: `None` while another thread holds `m`.
+fn try_lock<S>(m: &Mutex<S>) -> Option<MutexGuard<'_, S>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// The store's one compute-once mechanism: a map from key to a per-key
+/// slot holding state `S`. A caller locks its key's slot for the whole
+/// lookup-or-compute, so same-key callers wait for that one computation
+/// while other keys proceed in parallel. Each artifact class keeps its
+/// policy in `S`: trace growth, the warm capture gate and its byte cap,
+/// and the memo's single flight under the lease layer.
+struct Slots<K, S> {
+    map: Mutex<HashMap<K, Arc<Mutex<S>>>>,
+}
+
+impl<K: Hash + Eq, S: Default> Slots<K, S> {
+    fn new() -> Self {
+        Slots {
+            map: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The slot for `key`, created empty on first use.
+    fn slot<Q>(&self, key: &Q) -> Arc<Mutex<S>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let mut map = lock(&self.map);
+        match map.get(key) {
+            Some(slot) => Arc::clone(slot),
+            None => Arc::clone(map.entry(key.to_owned()).or_default()),
+        }
+    }
+
+    /// Every slot, for a walk outside the map lock.
+    fn all(&self) -> Vec<Arc<Mutex<S>>> {
+        lock(&self.map).values().cloned().collect()
+    }
+
+    fn clear(&self) {
+        lock(&self.map).clear();
+    }
 }
 
 /// Capture gate for one warm key: the first requester is told to take
@@ -95,47 +149,9 @@ struct WarmGate {
     last_used: u64,
 }
 
-/// One in-flight computation of a memoized cell in this process: the
-/// first requester of a key becomes the *leader* and computes; concurrent
-/// same-key requesters block on the condvar until the leader completes,
-/// then re-probe the memo instead of re-simulating (single-flight).
-#[derive(Default)]
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// Deregisters a leader's flight and wakes its followers — on success,
-/// failure, *and* panic (the guard drops during unwinding, so followers
-/// never deadlock on a crashed leader).
-struct FlightGuard<'a> {
-    store: &'a ArtifactStore,
-    key: &'a str,
-    flight: Arc<Flight>,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        self.store
-            .inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(self.key);
-        *self.flight.done.lock().expect("flight lock") = true;
-        self.flight.cv.notify_all();
-    }
-}
 /// (benchmark, seed, skip, warm start, configuration key) — see
 /// [`config_key`].
 type WarmKey = (&'static str, u64, u64, u64, String);
-
-/// One sampling plan per (benchmark, seed, region, interval, cluster
-/// cap): the slot lock serializes concurrent same-key profiling requests
-/// behind one builder.
-#[derive(Default)]
-struct PlanSlot {
-    state: Mutex<Option<Arc<SamplingPlan>>>,
-}
 /// (benchmark, seed, region skip, region simulate, interval, max clusters).
 type PlanKey = (&'static str, u64, u64, u64, u64, usize);
 
@@ -236,11 +252,10 @@ pub struct ArtifactStore {
     /// multi-ten-MB event logs of article-scale warm phases are cheaper
     /// to re-record than to store per configuration.
     warm_disk_cap: usize,
-    traces: Mutex<HashMap<(&'static str, u64), Arc<TraceSlot>>>,
-    warm: Mutex<HashMap<WarmKey, Arc<Mutex<WarmGate>>>>,
-    plans: Mutex<HashMap<PlanKey, Arc<PlanSlot>>>,
-    memo: Mutex<HashMap<String, Arc<RunResult>>>,
-    inflight: Mutex<HashMap<String, Arc<Flight>>>,
+    traces: Slots<(&'static str, u64), Option<Arc<TraceBuffer>>>,
+    warm: Slots<WarmKey, WarmGate>,
+    plans: Slots<PlanKey, Option<Arc<SamplingPlan>>>,
+    memo: Slots<String, Option<Arc<RunResult>>>,
     /// Resident warm-state budget in bytes (`u64::MAX` = unbounded).
     warm_cap: AtomicU64,
     /// Approximate bytes currently held by resident warm states.
@@ -276,11 +291,10 @@ impl ArtifactStore {
             shard: None,
             steal_grace: defaults.steal_grace,
             warm_disk_cap: defaults.warm_disk_cap(),
-            traces: Mutex::new(HashMap::new()),
-            warm: Mutex::new(HashMap::new()),
-            plans: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
+            traces: Slots::new(),
+            warm: Slots::new(),
+            plans: Slots::new(),
+            memo: Slots::new(),
             warm_cap: AtomicU64::new(u64::MAX),
             warm_bytes: AtomicU64::new(0),
             warm_tick: AtomicU64::new(0),
@@ -363,10 +377,11 @@ impl ArtifactStore {
     }
 
     /// The shared workload and trace buffer for `(benchmark, seed)`,
-    /// covering at least `min_len` instructions. The buffer is built on
-    /// first use and regenerated (longer) when a caller needs more than
-    /// any previous one; existing replay cursors keep their `Arc` to the
-    /// old buffer and are unaffected.
+    /// covering at least `min_len` instructions. The workload is the
+    /// process-wide [`Workload::shared`] one; the buffer is built on first
+    /// use and regenerated (longer) when a caller needs more than any
+    /// previous one. Existing replay cursors keep their `Arc` to the old
+    /// buffer and are unaffected.
     ///
     /// # Errors
     ///
@@ -380,28 +395,17 @@ impl ArtifactStore {
     ) -> Result<(Arc<Workload>, Arc<TraceBuffer>), SimError> {
         let profile = benchmarks::by_name(benchmark)
             .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-        let slot = {
-            let mut traces = self.traces.lock().expect("trace map lock");
-            Arc::clone(traces.entry((profile.name, seed)).or_default())
-        };
-        // Per-slot lock: concurrent requests for the same (benchmark,
-        // seed) wait for one builder instead of duplicating the capture;
-        // requests for other benchmarks proceed in parallel.
-        let mut state = slot.state.lock().expect("trace slot lock");
-        if let Some((workload, buffer)) = state.as_ref() {
-            if buffer.len() >= min_len {
-                self.counts.trace_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(workload), Arc::clone(buffer)));
-            }
+        let workload = Workload::shared(profile, seed);
+        let slot = self.traces.slot(&(workload.name(), seed));
+        let mut buffer = lock(&slot);
+        if let Some(buffer) = buffer.as_ref().filter(|b| b.len() >= min_len) {
+            self.counts.trace_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((workload, Arc::clone(buffer)));
         }
         self.counts.trace_misses.fetch_add(1, Ordering::Relaxed);
-        let workload = match state.take() {
-            Some((workload, _short)) => workload,
-            None => Workload::shared(profile, seed),
-        };
-        let buffer = Arc::new(TraceBuffer::capture(&workload, min_len));
-        *state = Some((Arc::clone(&workload), Arc::clone(&buffer)));
-        Ok((workload, buffer))
+        let grown = Arc::new(TraceBuffer::capture(&workload, min_len));
+        *buffer = Some(Arc::clone(&grown));
+        Ok((workload, grown))
     }
 
     /// The shared warm state for `(benchmark, seed, skip, warm_start)`
@@ -431,17 +435,15 @@ impl ArtifactStore {
         config.validate()?;
         let warm_start = warm_start.min(skip);
         let (workload, buffer) = self.trace(benchmark, seed, skip)?;
-        let ckey = config_key(config);
-        let gate = {
-            let mut warm = self.warm.lock().expect("warm map lock");
-            Arc::clone(
-                warm.entry((buffer.benchmark(), seed, skip, warm_start, ckey.clone()))
-                    .or_default(),
-            )
-        };
-        // Per-key lock: a concurrent same-key requester waits for the
-        // capture instead of duplicating it.
-        let mut gate = gate.lock().expect("warm gate lock");
+        let key = (
+            buffer.benchmark(),
+            seed,
+            skip,
+            warm_start,
+            config_key(config),
+        );
+        let gate = self.warm.slot(&key);
+        let mut gate = lock(&gate);
         if let Some(state) = gate.state.clone() {
             self.counts.warm_hits.fetch_add(1, Ordering::Relaxed);
             gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
@@ -451,79 +453,68 @@ impl ArtifactStore {
         // requests resolve in memory (hit, or first-requester decline), and
         // the formatting must cost nothing there — same lazy discipline as
         // `trace_event`.
-        let disk_key = self.disk.as_ref().map(|_| {
-            format!(
-                "{}|seed={:#x}|skip={skip}|start={warm_start}|{ckey}",
-                buffer.benchmark(),
-                seed,
+        let disk = self.disk.as_ref().map(|disk| {
+            let (bench, ckey) = (key.0, &key.4);
+            (
+                disk,
+                format!("{bench}|seed={seed:#x}|skip={skip}|start={warm_start}|{ckey}"),
             )
         });
-        // A disk hit short-circuits the capture gate entirely: the state
-        // was already earned by an earlier process. Warm entries encode
-        // the functional memory as a delta against the workload's initial
-        // image, which is regenerated here (cheap: the workload keeps a
+        // Warm entries encode the functional memory as a delta against the
+        // workload's initial image (cheap to rebuild: the workload keeps a
         // prebuilt copy-on-write image).
-        if let Some(payload) = self
-            .disk
-            .as_ref()
-            .zip(disk_key.as_deref())
-            .and_then(|(d, key)| d.load("warm", key))
-        {
-            let mut base = microlib_mem::FunctionalMemory::new();
+        let base = || {
+            let mut base = FunctionalMemory::new();
             workload.initialize(&mut base);
-            let mut d = Decoder::new(&payload);
-            if let Ok(state) =
-                WarmState::decode(&mut d, config, &base).and_then(|s| d.finish().map(|_| s))
-            {
+            base
+        };
+        // A disk hit short-circuits the capture gate entirely: the state
+        // was already earned by an earlier process.
+        let loaded = disk.as_ref().and_then(|(disk, key)| {
+            disk.load_with("warm", key, |d| WarmState::decode(d, config, &base()))
+        });
+        let state = match loaded {
+            Some(state) => {
                 self.counts.warm_disk_hits.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::new(state);
-                self.warm_install(&mut gate, &state);
-                drop(gate);
-                self.enforce_warm_cap();
-                return Ok(Some(state));
+                state
             }
-        }
-        gate.requests += 1;
-        if gate.requests < 2 {
-            self.counts.warm_declined.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        self.counts.warm_misses.fetch_add(1, Ordering::Relaxed);
-        let insts = TraceBuffer::replay_from(&buffer, warm_start)
-            .take((skip - warm_start) as usize)
-            .map(|inst| (inst.pc, inst.warm_mem_ref()));
-        let state = Arc::new(
-            capture_warm_state(Arc::clone(config), |fm| workload.initialize(fm), insts)
-                .expect("configuration validated above"),
-        );
-        if let Some((disk, key)) = self.disk.as_ref().zip(disk_key.as_deref()) {
-            let mut base = microlib_mem::FunctionalMemory::new();
-            workload.initialize(&mut base);
-            let mut e = Encoder::new();
-            state.encode(&base, &mut e);
-            // Long warm phases produce multi-ten-MB event logs whose disk
-            // round trip is worth less than the space: persist only
-            // entries under the cap (memos and plans — the artifacts that
-            // make re-runs incremental — are never capped).
-            if e.as_bytes().len() <= self.warm_disk_cap {
-                disk.store("warm", key, e.as_bytes());
+            None => {
+                gate.requests += 1;
+                if gate.requests < 2 {
+                    self.counts.warm_declined.fetch_add(1, Ordering::Relaxed);
+                    return Ok(None);
+                }
+                self.counts.warm_misses.fetch_add(1, Ordering::Relaxed);
+                let insts = TraceBuffer::replay_from(&buffer, warm_start)
+                    .take((skip - warm_start) as usize)
+                    .map(|inst| (inst.pc, inst.warm_mem_ref()));
+                let state =
+                    capture_warm_state(Arc::clone(config), |fm| workload.initialize(fm), insts)
+                        .expect("configuration validated above");
+                if let Some((disk, key)) = &disk {
+                    let mut e = Encoder::new();
+                    state.encode(&base(), &mut e);
+                    // Long warm phases produce multi-ten-MB event logs whose
+                    // disk round trip is worth less than the space: persist
+                    // only entries under the cap (memos and plans — the
+                    // artifacts that make re-runs incremental — are never
+                    // capped).
+                    if e.as_bytes().len() <= self.warm_disk_cap {
+                        disk.store("warm", key, e.as_bytes());
+                    }
+                }
+                state
             }
-        }
-        self.warm_install(&mut gate, &state);
+        };
+        let state = Arc::new(state);
+        gate.bytes = state.resident_bytes();
+        gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
+        gate.state = Some(Arc::clone(&state));
+        self.warm_bytes
+            .fetch_add(gate.bytes as u64, Ordering::Relaxed);
         drop(gate);
         self.enforce_warm_cap();
         Ok(Some(state))
-    }
-
-    /// Records `state` into its gate and charges its footprint against
-    /// the resident byte budget. Callers drop the gate lock and call
-    /// [`enforce_warm_cap`](Self::enforce_warm_cap) afterwards.
-    fn warm_install(&self, gate: &mut WarmGate, state: &Arc<WarmState>) {
-        gate.bytes = state.resident_bytes();
-        gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
-        gate.state = Some(Arc::clone(state));
-        self.warm_bytes
-            .fetch_add(gate.bytes as u64, Ordering::Relaxed);
     }
 
     /// Caps the bytes of warm states kept resident between requests:
@@ -552,24 +543,19 @@ impl ArtifactStore {
         if self.warm_bytes.load(Ordering::Relaxed) <= cap {
             return;
         }
-        let gates: Vec<Arc<Mutex<WarmGate>>> = {
-            let warm = self.warm.lock().expect("warm map lock");
-            warm.values().cloned().collect()
-        };
         let mut candidates: Vec<(u64, Arc<Mutex<WarmGate>>)> = Vec::new();
-        for gate in gates {
-            if let Ok(g) = gate.try_lock() {
-                if g.state.is_some() {
-                    candidates.push((g.last_used, Arc::clone(&gate)));
-                }
-            }
+        for gate in self.warm.all() {
+            let stamp = try_lock(&gate)
+                .filter(|g| g.state.is_some())
+                .map(|g| g.last_used);
+            candidates.extend(stamp.map(|stamp| (stamp, gate)));
         }
         candidates.sort_by_key(|(last_used, _)| *last_used);
         for (_, gate) in candidates {
             if self.warm_bytes.load(Ordering::Relaxed) <= cap {
                 break;
             }
-            if let Ok(mut g) = gate.try_lock() {
+            if let Some(mut g) = try_lock(&gate) {
                 if g.state.take().is_some() {
                     self.warm_bytes.fetch_sub(g.bytes as u64, Ordering::Relaxed);
                     g.bytes = 0;
@@ -597,58 +583,43 @@ impl ArtifactStore {
         max_clusters: usize,
     ) -> Result<Arc<SamplingPlan>, SimError> {
         let (_workload, buffer) = self.trace(benchmark, seed, region.end())?;
-        let slot = {
-            let mut plans = self.plans.lock().expect("plan map lock");
-            Arc::clone(
-                plans
-                    .entry((
-                        buffer.benchmark(),
-                        seed,
-                        region.skip,
-                        region.simulate,
-                        interval,
-                        max_clusters,
-                    ))
-                    .or_default(),
-            )
-        };
-        // Per-slot lock: concurrent same-key requests wait for one
-        // profiling pass instead of duplicating it.
-        let mut state = slot.state.lock().expect("plan slot lock");
-        if let Some(plan) = state.as_ref() {
+        let (skip, simulate) = (region.skip, region.simulate);
+        let key = (
+            buffer.benchmark(),
+            seed,
+            skip,
+            simulate,
+            interval,
+            max_clusters,
+        );
+        let slot = self.plans.slot(&key);
+        let mut plan = lock(&slot);
+        if let Some(plan) = plan.as_ref() {
             self.counts.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
         let disk_key = format!(
-            "{}|seed={seed:#x}|region={}+{}|interval={interval}|k={max_clusters}",
-            buffer.benchmark(),
-            region.skip,
-            region.simulate,
+            "{}|seed={seed:#x}|region={skip}+{simulate}|interval={interval}|k={max_clusters}",
+            key.0
         );
-        if let Some(payload) = self.disk.as_ref().and_then(|d| d.load("plan", &disk_key)) {
-            let mut d = Decoder::new(&payload);
-            if let Ok(plan) = SamplingPlan::decode(&mut d).and_then(|p| d.finish().map(|_| p)) {
+        let disk = self.disk.as_ref();
+        let loaded = disk.and_then(|d| d.load_with("plan", &disk_key, SamplingPlan::decode));
+        let built = match loaded {
+            Some(built) => {
                 self.counts.plan_disk_hits.fetch_add(1, Ordering::Relaxed);
-                let plan = Arc::new(plan);
-                *state = Some(Arc::clone(&plan));
-                return Ok(plan);
+                built
             }
-        }
-        self.counts.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(SamplingPlan::profile(
-            TraceBuffer::replay(&buffer),
-            region,
-            interval,
-            max_clusters,
-            seed,
-        ));
-        if let Some(disk) = &self.disk {
-            let mut e = Encoder::new();
-            plan.encode(&mut e);
-            disk.store("plan", &disk_key, e.as_bytes());
-        }
-        *state = Some(Arc::clone(&plan));
-        Ok(plan)
+            None => {
+                self.counts.plan_misses.fetch_add(1, Ordering::Relaxed);
+                let replay = TraceBuffer::replay(&buffer);
+                let built = SamplingPlan::profile(replay, region, interval, max_clusters, seed);
+                self.disk_store("plan", &disk_key, |e| built.encode(e));
+                built
+            }
+        };
+        let built = Arc::new(built);
+        *plan = Some(Arc::clone(&built));
+        Ok(built)
     }
 
     /// Drops all cached warm states (the largest artifacts). Long-lived
@@ -657,8 +628,18 @@ impl ArtifactStore {
     /// while traces and the result memo stay useful across experiments
     /// and are kept.
     pub fn clear_warm_states(&self) {
-        self.warm.lock().expect("warm map lock").clear();
+        self.warm.clear();
         self.warm_bytes.store(0, Ordering::Relaxed);
+    }
+
+    /// Writes an artifact through to the disk tier, if one is attached,
+    /// as one atomically written file.
+    fn disk_store(&self, class: &str, key: &str, encode: impl FnOnce(&mut Encoder)) {
+        if let Some(disk) = &self.disk {
+            let mut e = Encoder::new();
+            encode(&mut e);
+            disk.store(class, key, e.as_bytes());
+        }
     }
 
     pub(crate) fn memo_key(
@@ -679,40 +660,15 @@ impl ArtifactStore {
         )
     }
 
-    /// RAM-then-disk memo lookup that counts *hits only* — a miss is not
-    /// a `memo_misses` yet, because under leases the caller may wait for
-    /// another worker's memo instead of computing. `memo_misses` (the
-    /// "cells recomputed" number) is counted exactly once per actual
-    /// computation, in [`memo_run`](ArtifactStore::memo_run).
-    pub(crate) fn memo_probe(&self, key: &str) -> Option<Arc<RunResult>> {
-        if let Some(hit) = self.memo.lock().expect("memo lock").get(key).cloned() {
-            self.counts.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-        if let Some(payload) = self.disk.as_ref().and_then(|d| d.load("memo", key)) {
-            let mut d = Decoder::new(&payload);
-            if let Ok(result) = RunResult::decode(&mut d).and_then(|r| d.finish().map(|_| r)) {
-                self.counts.memo_disk_hits.fetch_add(1, Ordering::Relaxed);
-                let result = Arc::new(result);
-                self.memo
-                    .lock()
-                    .expect("memo lock")
-                    .insert(key.to_owned(), Arc::clone(&result));
-                return Some(result);
-            }
-        }
-        None
-    }
-
-    /// Resolves a memoized cell: probe, else compute-and-journal —
-    /// through the lease layer when one is attached, so across concurrent
-    /// processes each cell is computed at most once.
+    /// Resolves a memoized cell: the memo in RAM, else the disk tier,
+    /// else `compute` — through the lease layer when one is attached, so
+    /// across concurrent processes each cell is computed at most once.
     ///
-    /// Without a lease manager this is exactly the old miss path: count
-    /// the miss, run `compute`, journal. With one, the claim loop of the
-    /// [`LeaseManager`] docs runs instead; `cell` and `repro` feed its
-    /// quarantine reports, and a panic unwinding out of `compute`
-    /// abandons the claim (counting toward quarantine) before resuming.
+    /// In this process the key's slot lock is the single flight: the
+    /// first requester holds it while it reads disk or computes, and
+    /// same-key requesters block on it (counted as coalesced when they
+    /// find it held), then read the leader's result. A leader that fails
+    /// or panics leaves the slot empty, so the next waiter computes.
     pub(crate) fn memo_run(
         &self,
         key: &str,
@@ -721,77 +677,56 @@ impl ArtifactStore {
         repro: &str,
         compute: impl FnOnce() -> Result<RunResult, SimError>,
     ) -> Result<Arc<RunResult>, SimError> {
-        // In-process single-flight: concurrent same-key requests elect
-        // one leader; the rest block until its memo lands. This layers
-        // *under* the lease protocol — the leader still claims the
-        // cross-process lease — so N concurrent requests in one process
-        // cost one lease claim and one simulation, not N.
-        enum Role {
-            Leader(Arc<Flight>),
-            Follower(Arc<Flight>),
+        let slot = self.memo.slot(key);
+        let mut memo = try_lock(&slot).unwrap_or_else(|| {
+            self.counts.memo_coalesced.fetch_add(1, Ordering::Relaxed);
+            lock(&slot)
+        });
+        if let Some(hit) = memo.as_ref() {
+            self.counts.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(hit));
         }
-        let mut compute = Some(compute);
-        loop {
-            if let Some(hit) = self.memo_probe(key) {
-                return Ok(hit);
-            }
-            let role = {
-                let mut inflight = self.inflight.lock().expect("inflight lock");
-                match inflight.get(key) {
-                    Some(flight) => Role::Follower(Arc::clone(flight)),
-                    None => {
-                        let flight = Arc::new(Flight::default());
-                        inflight.insert(key.to_owned(), Arc::clone(&flight));
-                        Role::Leader(flight)
-                    }
-                }
-            };
-            match role {
-                Role::Leader(flight) => {
-                    let _deregister = FlightGuard {
-                        store: self,
-                        key,
-                        flight,
-                    };
-                    let compute = compute.take().expect("leadership is acquired once");
-                    return self.memo_run_leader(key, cell, benchmark, repro, compute);
-                }
-                Role::Follower(flight) => {
-                    self.counts.memo_coalesced.fetch_add(1, Ordering::Relaxed);
-                    let mut done = flight.done.lock().expect("flight lock");
-                    while !*done {
-                        done = flight.cv.wait(done).expect("flight lock");
-                    }
-                    // Leader finished: on success the probe at the top of
-                    // the loop hits its memo; on failure (or panic) this
-                    // request retries for leadership and computes itself.
-                }
-            }
-        }
+        let result = match self.memo_disk_hit(key) {
+            Some(hit) => hit,
+            None => self.memo_compute(key, cell, benchmark, repro, compute)?,
+        };
+        let result = Arc::new(result);
+        *memo = Some(Arc::clone(&result));
+        Ok(result)
     }
 
-    /// The compute-and-journal path of [`memo_run`](Self::memo_run), run
-    /// by exactly one thread per key at a time.
-    fn memo_run_leader(
+    /// The memo of `key` decoded from the disk tier, counted as a disk hit.
+    fn memo_disk_hit(&self, key: &str) -> Option<RunResult> {
+        let hit = self
+            .disk
+            .as_ref()?
+            .load_with("memo", key, RunResult::decode)?;
+        self.counts.memo_disk_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// The miss path of [`memo_run`](Self::memo_run), run under the key's
+    /// slot lock: count the miss, run `compute`, and journal the result
+    /// to the disk tier the moment it completes, so a killed campaign
+    /// resumes from exactly the cells that finished.
+    ///
+    /// With a lease manager the claim loop of the [`LeaseManager`] docs
+    /// runs instead; `cell` and `repro` feed its quarantine reports, and
+    /// a panic unwinding out of `compute` abandons the claim (counting
+    /// toward quarantine) before resuming.
+    fn memo_compute(
         &self,
         key: &str,
         cell: &str,
         benchmark: &str,
         repro: &str,
         compute: impl FnOnce() -> Result<RunResult, SimError>,
-    ) -> Result<Arc<RunResult>, SimError> {
+    ) -> Result<RunResult, SimError> {
         let Some(lease) = &self.lease else {
-            // A prior leader deregisters only after journaling its memo,
-            // so this probe closes the probe→register race: if the key
-            // landed between the caller's probe and our registration, it
-            // is visible here.
-            if let Some(hit) = self.memo_probe(key) {
-                return Ok(hit);
-            }
             self.counts.memo_misses.fetch_add(1, Ordering::Relaxed);
             let result = compute()?;
-            self.memo_put(key.to_owned(), result);
-            return Ok(self.memo.lock().expect("memo lock")[key].clone());
+            self.disk_store("memo", key, |e| result.encode(e));
+            return Ok(result);
         };
         // Re-claiming after Busy/steal loops back here; the closure can
         // only actually run once, so carry it in an Option.
@@ -801,7 +736,7 @@ impl ArtifactStore {
         let mut poll = Duration::from_millis(5);
         let poll_cap = std::cmp::max(poll, Duration::from_millis(200).min(lease.timeout() / 3));
         loop {
-            if let Some(hit) = self.memo_probe(key) {
+            if let Some(hit) = self.memo_disk_hit(key) {
                 if waited {
                     self.counts.lease_waits.fetch_add(1, Ordering::Relaxed);
                 }
@@ -825,9 +760,9 @@ impl ArtifactStore {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
                     match outcome {
                         Ok(Ok(result)) => {
-                            self.memo_put(key.to_owned(), result);
+                            self.disk_store("memo", key, |e| result.encode(e));
                             guard.complete();
-                            return Ok(self.memo.lock().expect("memo lock")[key].clone());
+                            return Ok(result);
                         }
                         Ok(Err(e)) => {
                             // A deterministic failure, not a crash: the
@@ -883,21 +818,6 @@ impl ArtifactStore {
         FinishGuard {
             store: Arc::clone(self),
         }
-    }
-
-    /// Journals a completed cell: into RAM and — with a disk tier — as
-    /// one atomically written file, immediately, so a killed campaign
-    /// resumes from exactly the cells that finished.
-    pub(crate) fn memo_put(&self, key: String, result: RunResult) {
-        if let Some(disk) = &self.disk {
-            let mut e = Encoder::new();
-            result.encode(&mut e);
-            disk.store("memo", &key, e.as_bytes());
-        }
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .insert(key, Arc::new(result));
     }
 }
 
@@ -1049,6 +969,126 @@ mod tests {
             store.sampling_plan("quake3", 1, region, 10_000, 4),
             Err(SimError::UnknownBenchmark(_))
         ));
+    }
+
+    /// A real cell result for the memo tests' compute closures to return.
+    fn sample_result() -> RunResult {
+        let opts = SimOptions {
+            window: TraceWindow::new(500, 500),
+            ..SimOptions::default()
+        };
+        let config = Arc::new(SystemConfig::baseline_constant_memory());
+        let cell = crate::Cell::new(config, "swim", opts, MechanismKind::Base);
+        ArtifactStore::new().run(&cell).expect("sample cell runs")
+    }
+
+    /// Polls until a second requester of a key is parked behind the
+    /// computing leader (it has been counted as coalesced).
+    fn await_follower(store: &ArtifactStore) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while store.stats().memo_coalesced == 0 {
+            assert!(Instant::now() < deadline, "follower never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn concurrent_same_key_requests_compute_once() {
+        const THREADS: usize = 4;
+        let store = ArtifactStore::new();
+        let result = sample_result();
+        let computed = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let outputs: Vec<Arc<RunResult>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        store
+                            .memo_run("k", "cell", "swim", "", || {
+                                computed.fetch_add(1, Ordering::Relaxed);
+                                std::thread::sleep(Duration::from_millis(50));
+                                Ok(result.clone())
+                            })
+                            .expect("memo run")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "one compute");
+        assert!(outputs.iter().all(|r| r.perf == result.perf));
+        let stats = store.stats();
+        assert_eq!(stats.memo_misses, 1);
+        assert_eq!(stats.memo_hits, THREADS as u64 - 1);
+    }
+
+    /// Runs a leader whose compute ends in `finish` once a follower is
+    /// queued behind it. The follower must then compute the key itself
+    /// and succeed, within a deadline rather than hanging the suite.
+    fn follower_after_failed_leader(finish: fn() -> Result<RunResult, SimError>) {
+        let store = ArtifactStore::new();
+        let result = sample_result();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (store, result) = (&store, &result);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                store.memo_run("k", "cell", "swim", "", move || {
+                    started_tx.send(()).unwrap();
+                    // Bounded, so a failing assertion below cannot leave
+                    // the scope waiting on this thread forever.
+                    let _ = go_rx.recv_timeout(Duration::from_secs(30));
+                    finish()
+                })
+            });
+            started_rx.recv().unwrap();
+            scope.spawn(move || {
+                let outcome = store.memo_run("k", "cell", "swim", "", || Ok(result.clone()));
+                done_tx.send(outcome).unwrap();
+            });
+            await_follower(store);
+            go_tx.send(()).unwrap();
+            let follower = done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("follower finished (no deadlock)");
+            assert_eq!(follower.expect("follower computes").perf, result.perf);
+            assert!(!matches!(leader.join(), Ok(Ok(_))), "leader failed");
+        });
+        let stats = store.stats();
+        assert_eq!(stats.memo_misses, 2, "leader and follower each computed");
+        let again = store.memo_run("k", "cell", "swim", "", || panic!("memoized"));
+        assert_eq!(again.unwrap().perf, result.perf);
+    }
+
+    #[test]
+    fn leader_error_lets_a_follower_compute() {
+        follower_after_failed_leader(|| Err(SimError::UnknownBenchmark("planted".into())));
+    }
+
+    #[test]
+    fn leader_panic_lets_a_follower_compute() {
+        follower_after_failed_leader(|| panic!("planted leader panic"));
+    }
+
+    /// A panic inside a trace capture (here: a length no buffer can hold,
+    /// refused before anything is allocated) must not poison the key.
+    #[test]
+    fn trace_panic_leaves_the_slot_usable() {
+        let store = ArtifactStore::new();
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.trace("swim", 7, u64::MAX)
+        }));
+        let payload = crash.expect_err("an impossible capture panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("capacity overflow"), "{message}");
+        let (_, buffer) = store.trace("swim", 7, 100).expect("slot still usable");
+        assert_eq!(buffer.len(), 100);
     }
 
     #[test]

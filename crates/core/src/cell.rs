@@ -163,9 +163,6 @@ impl ArtifactStore {
             key.push_str(&format!("|variant={variant}"));
             name.push_str(&format!(" [{variant}]"));
         }
-        if let Some(hit) = self.memo_probe(&key) {
-            return Ok((*hit).clone());
-        }
         let result = self.memo_run(&key, &name, benchmark, &repro_hint(opts), || {
             crate::fault::trigger("cell", &format!("{benchmark}+{label}"));
             cell.simulate(Some(self))

@@ -103,6 +103,23 @@ impl DiskCache {
         decode_entry(&bytes, key).ok()
     }
 
+    /// The disk read-through of every cached artifact: [`load`](Self::load)
+    /// the entry under `(class, key)` and `decode` its payload, which must
+    /// consume every byte. `None` on a miss or any decode failure — the
+    /// caller recomputes, and its next store replaces the bad entry.
+    pub fn load_with<T>(
+        &self,
+        class: &str,
+        key: &str,
+        decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
+    ) -> Option<T> {
+        let payload = self.load(class, key)?;
+        let mut d = Decoder::new(&payload);
+        let value = decode(&mut d).ok()?;
+        d.finish().ok()?;
+        Some(value)
+    }
+
     /// Atomically stores `payload` under `(class, key)`, replacing any
     /// previous entry. Failures are silently ignored (the entry will be
     /// recomputed next time).

@@ -9,9 +9,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// with per-set LRU replacement.
 ///
 /// `ways == 0` means fully associative (a single set). Fully associative
-/// tables keep a key index and a recency list beside the slots, so a
-/// lookup, insert or remove costs the same at 1024 entries as at 16
-/// instead of a scan of every slot. Both layouts make the same choices:
+/// tables of at least 16 entries (`INDEX_MIN_CAPACITY`) keep a key index and
+/// a recency list beside the slots, so a lookup, insert or remove costs
+/// the same at 1024 entries as at 16 instead of a scan of every slot;
+/// smaller ones scan. Both layouts make the same choices:
 /// every touch takes a fresh clock value, so the least-recently-used
 /// entry is unique and the recency list's oldest entry is exactly the
 /// minimum-clock slot a scan would pick; a new key takes the lowest free
@@ -34,7 +35,8 @@ pub struct AssocTable<V> {
     ways: usize,
     slots: Vec<Option<Slot<V>>>,
     clock: u64,
-    /// Present exactly for fully associative tables.
+    /// Present exactly for fully associative tables of at least
+    /// `INDEX_MIN_CAPACITY` entries.
     index: Option<Box<KeyIndex>>,
 }
 
@@ -65,6 +67,13 @@ impl Hasher for KeyHasher {
         self.0 = h ^ (h >> 32);
     }
 }
+
+/// The smallest fully associative table that keeps a key index. Measured
+/// on a mixed probe/insert/remove stream over 64-byte payloads (a scratch
+/// microbenchmark of both paths at each capacity): the scan is level with
+/// the index at 8 entries, 1.2–1.9× slower at 16, 4–8× at 128 and 19–48×
+/// at 1024.
+const INDEX_MIN_CAPACITY: usize = 16;
 
 /// Null link in the recency list.
 const NIL: u32 = u32::MAX;
@@ -157,7 +166,8 @@ impl<V> AssocTable<V> {
     ///
     /// Panics if `sets` is zero or not a power of two.
     pub fn new(sets: usize, ways: usize) -> Self {
-        let index = (ways == 0).then(|| Box::new(KeyIndex::new(sets)));
+        let indexed = ways == 0 && sets >= INDEX_MIN_CAPACITY;
+        let index = indexed.then(|| Box::new(KeyIndex::new(sets)));
         let (sets, ways) = if ways == 0 { (1, sets) } else { (sets, ways) };
         assert!(
             sets > 0 && sets.is_power_of_two(),
@@ -421,16 +431,23 @@ mod tests {
     }
 
     /// The indexed fully associative table against the same table served
-    /// by the plain slot scan (the set-associative path over one set):
-    /// every lookup, insert, eviction, remove and clear must agree, down
-    /// to which slot each key lands in.
+    /// by the plain slot scan (the set-associative path over one set), at
+    /// capacities on both sides of [`INDEX_MIN_CAPACITY`]: every lookup,
+    /// insert, eviction, remove and clear must agree, down to which slot
+    /// each key lands in.
     #[test]
     fn indexed_matches_linear_scan() {
-        for capacity in [1usize, 2, 16, 64, 1024] {
-            let mut fast: AssocTable<u64> = AssocTable::new(capacity, 0);
+        let n = INDEX_MIN_CAPACITY;
+        for capacity in [1usize, 2, n / 2, n - 1, n, n + 1, 64, 1024] {
+            let chosen: AssocTable<u64> = AssocTable::new(capacity, 0);
+            assert_eq!(chosen.index.is_some(), capacity >= n, "capacity {capacity}");
+            let mut fast = AssocTable {
+                index: Some(Box::new(KeyIndex::new(capacity))),
+                ..chosen.clone()
+            };
             let mut slow = AssocTable {
                 index: None,
-                ..AssocTable::new(capacity, 0)
+                ..chosen
             };
             let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
             let keys = (capacity as u64 * 3 / 2).max(4);

@@ -8,7 +8,7 @@ use crate::probe::{probe, DEFAULT_MECHANISMS};
 use crate::space::{sample_cell, ConfigDelta};
 use microlib::{ArtifactStore, SimOptions};
 use microlib_mech::MechanismKind;
-use microlib_model::{Decoder, Encoder};
+use microlib_model::{CodecError, Decoder, Encoder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -144,13 +144,14 @@ fn encode_outcome(outcome: &CellOutcome) -> Vec<u8> {
     enc.into_bytes()
 }
 
-fn decode_outcome(bytes: &[u8]) -> Option<CellOutcome> {
-    let mut dec = Decoder::new(bytes);
-    match dec.take_u8().ok()? {
-        0 => Some(CellOutcome::Consistent),
-        1 => CliffRecord::parse(dec.take_str().ok()?).map(|r| CellOutcome::Cliff(Box::new(r))),
-        2 => Some(CellOutcome::Failed(dec.take_str().ok()?.to_owned())),
-        _ => None,
+fn decode_outcome(dec: &mut Decoder<'_>) -> Result<CellOutcome, CodecError> {
+    match dec.take_u8()? {
+        0 => Ok(CellOutcome::Consistent),
+        1 => CliffRecord::parse(dec.take_str()?)
+            .map(|r| CellOutcome::Cliff(Box::new(r)))
+            .ok_or(CodecError::Invalid("unparseable cliff record")),
+        2 => Ok(CellOutcome::Failed(dec.take_str()?.to_owned())),
+        _ => Err(CodecError::Invalid("unknown outcome tag")),
     }
 }
 
@@ -211,30 +212,22 @@ fn compute_cell(
 fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell {
     let (benchmark, delta) = sample_cell(cfg.base_opts.seed, index as u64, &cfg.base_opts);
     let key = memo_key(cfg, benchmark, &delta);
-    if let Some(cache) = store.disk_cache() {
-        if let Some(outcome) = cache
-            .load(MINE_CACHE_CLASS, &key)
-            .and_then(|bytes| decode_outcome(&bytes))
-        {
-            return MinedCell {
-                index,
-                benchmark,
-                delta,
-                outcome,
-                cached: true,
-            };
+    let cache = store.disk_cache();
+    let loaded = cache.and_then(|c| c.load_with(MINE_CACHE_CLASS, &key, decode_outcome));
+    let cached = loaded.is_some();
+    let outcome = loaded.unwrap_or_else(|| {
+        let outcome = compute_cell(store, cfg, benchmark, &delta);
+        if let Some(cache) = cache {
+            cache.store(MINE_CACHE_CLASS, &key, &encode_outcome(&outcome));
         }
-    }
-    let outcome = compute_cell(store, cfg, benchmark, &delta);
-    if let Some(cache) = store.disk_cache() {
-        cache.store(MINE_CACHE_CLASS, &key, &encode_outcome(&outcome));
-    }
+        outcome
+    });
     MinedCell {
         index,
         benchmark,
         delta,
         outcome,
-        cached: false,
+        cached,
     }
 }
 
@@ -349,7 +342,8 @@ mod tests {
         let consistent = CellOutcome::Consistent;
         let failed = CellOutcome::Failed("timeout".into());
         for o in [&consistent, &failed] {
-            assert_eq!(decode_outcome(&encode_outcome(o)).as_ref(), Some(o));
+            let bytes = encode_outcome(o);
+            assert_eq!(decode_outcome(&mut Decoder::new(&bytes)).as_ref(), Ok(o));
         }
     }
 

@@ -31,6 +31,18 @@ pub enum Class {
 /// when the spec does not name a class.
 pub const AUTO_INTERACTIVE_MAX: usize = 8;
 
+/// The largest window (`skip + simulate` instructions) one cell may ask
+/// for. A cell's trace holds its whole window in memory, about 27 bytes an
+/// instruction, so an unbounded window lets one request body exhaust the
+/// daemon's memory. 10 M is 80× the default 20k + 100k window.
+const MAX_CELL_WINDOW: u64 = 10_000_000;
+
+/// The most instructions one campaign may ask for: cells × window. It
+/// admits the full 26 × 13 study grid at the default window (40.6 M) about
+/// five times over, but not a request that would pin every worker for
+/// hours.
+const MAX_CAMPAIGN_INSTS: u64 = 200_000_000;
+
 /// A parsed campaign request: the grid plus shared run options.
 #[derive(Clone, Debug)]
 pub struct CampaignSpec {
@@ -82,6 +94,9 @@ impl CampaignSpec {
     /// window/seed to [`SimOptions::default`]; `sampling` to `full`;
     /// `class` to interactive for grids of at most
     /// [`AUTO_INTERACTIVE_MAX`] cells, batch above).
+    ///
+    /// The window, after overrides, must fit one cell's instruction
+    /// budget (10 M) and the grid the campaign's (200 M: cells × window).
     ///
     /// # Errors
     ///
@@ -153,7 +168,24 @@ impl CampaignSpec {
             }
         };
         let (config, opts) = overrides.apply(&opts);
+        let window = opts
+            .window
+            .skip
+            .checked_add(opts.window.simulate)
+            .filter(|&n| n <= MAX_CELL_WINDOW)
+            .ok_or_else(|| {
+                format!(
+                    "\"window\" skip + simulate exceeds the per-cell budget of \
+                     {MAX_CELL_WINDOW} instructions"
+                )
+            })?;
         let cells = benchmarks.len() * mechanisms.len();
+        if (cells as u64).saturating_mul(window) > MAX_CAMPAIGN_INSTS {
+            return Err(format!(
+                "{cells} cells (\"benchmarks\" × \"mechanisms\") of a {window}-instruction \
+                 \"window\" exceed the per-campaign budget of {MAX_CAMPAIGN_INSTS} instructions"
+            ));
+        }
         let class = match doc.get("class") {
             None => {
                 if cells <= AUTO_INTERACTIVE_MAX {
@@ -336,6 +368,49 @@ mod tests {
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn bounds_each_window_and_campaign() {
+        let spec = |benchmarks: &str, window: &str| {
+            CampaignSpec::parse(&format!(
+                r#"{{"benchmarks":[{benchmarks}],"mechanisms":"study","window":{window}}}"#
+            ))
+        };
+        let swim = r#""swim""#;
+        for (window, field) in [
+            (r#"{"skip":0,"simulate":1099511627776}"#, "\"window\""),
+            (
+                r#"{"skip":"0xffffffffffffffff","simulate":1}"#,
+                "\"window\"",
+            ),
+            (r#"{"skip":9999001,"simulate":1000}"#, "\"window\""),
+        ] {
+            let err = spec(swim, window).expect_err(window);
+            assert!(err.contains(field) && err.contains("budget"), "{err}");
+        }
+        assert!(spec(swim, r#"{"skip":9999000,"simulate":1000}"#).is_ok());
+        // The whole study grid at the default window fits; the same grid
+        // at a window 5× the default does not, and the error names it.
+        let all = benchmarks::NAMES
+            .iter()
+            .map(|name| format!("{name:?}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let grid = spec(&all, r#"{"skip":20000,"simulate":100000}"#).unwrap();
+        assert_eq!(grid.cells().len(), 26 * 13);
+        let err = spec(&all, r#"{"skip":100000,"simulate":500000}"#).unwrap_err();
+        assert!(
+            err.contains("338 cells") && err.contains("per-campaign"),
+            "{err}"
+        );
+        // The budget is checked after overrides: `win` shrinks the window.
+        let shrunk = CampaignSpec::parse(
+            r#"{"benchmarks":["swim"],"overrides":"win=quarter",
+                "window":{"skip":0,"simulate":10000000}}"#,
+        )
+        .unwrap();
+        assert_eq!(shrunk.opts.window.simulate, 2_500_000);
     }
 
     #[test]

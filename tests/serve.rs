@@ -3,9 +3,9 @@
 //! in-flight cells to one compute, turn away overload deterministically
 //! with a retry hint, keep its metrics consistent with the requests it
 //! served, hold resident warm state under the configured byte cap,
-//! survive panicking cells and hostile request heads, bound how long a
-//! client may take to send its request, and answer a warm query without
-//! waiting on a timer.
+//! survive panicking cells and hostile request heads, refuse windows past
+//! the instruction budget, bound how long a client may take to send its
+//! request, and answer a warm query without waiting on a timer.
 
 use microlib::{ArtifactStore, Cell, SimOptions};
 use microlib_mech::MechanismKind;
@@ -221,6 +221,33 @@ fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
         CampaignOutcome::Completed(_) => panic!("a 500 000-deep array was accepted"),
     }
     assert!(client.healthz().expect("healthz after the hostile body"));
+    drop(server);
+}
+
+/// A window past the per-cell instruction budget is a 400 naming the
+/// field, answered at parse time (no trace is ever sized for it), and
+/// the daemon still streams a normal campaign afterwards.
+#[test]
+fn over_budget_window_is_rejected_and_a_campaign_still_streams() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let hostile = r#"{"benchmarks":["swim"],"mechanisms":["Base"],
+                      "window":{"skip":0,"simulate":1099511627776}}"#;
+    match client.campaign(hostile).expect("campaign request") {
+        CampaignOutcome::Rejected(response) => {
+            assert_eq!(response.status, 400);
+            assert!(response.body.contains("\"window\""), "{}", response.body);
+        }
+        CampaignOutcome::Completed(_) => panic!("a 2^40-instruction window was accepted"),
+    }
+    let lines = completed(
+        &client,
+        r#"{"benchmarks":["swim"],"mechanisms":["Base","GHB"],
+            "window":{"skip":500,"simulate":500}}"#,
+    );
+    assert_eq!(lines.len(), 2);
     drop(server);
 }
 
